@@ -139,11 +139,6 @@ let () =
             (fun (name, n) ->
               if n > 0 then
                 Buffer.add_string b (Printf.sprintf "  %-8s %d\n" name n))
-            (List.map
-               (fun r ->
-                 ( Lint.rule_name r,
-                   List.length
-                     (List.filter (fun f -> f.Lint.rule = r) fs) ))
-               Lint.all_rules));
+            (Lint.counts_of fs));
       output (Buffer.contents b);
       match findings with [] -> () | _ -> exit 1)

@@ -245,7 +245,6 @@ let process server (job : job) =
               finish ();
               raise e
         in
-        (* placer-lint: allow H1 a malformed or infeasible job must become an error response, never a dead service *)
         (* placer-lint: allow C1 the template tier (default_store + its family files) is audited at its own get_or_compute site and keyed by motif hash; configure_default runs once at startup before the first job; the dls read is per-domain telemetry stat accounting *)
         match Cache.get_or_compute server.results ~key compute with
         | Some p ->

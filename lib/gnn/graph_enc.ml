@@ -80,9 +80,7 @@ let of_circuit (c : Netlist.Circuit.t) =
   for i = 0 to n - 1 do
     let d = Netlist.Circuit.device c i in
     M.set static i (Netlist.Device.kind_index d.Netlist.Device.kind) 1.0;
-    (* placer-lint: allow N2 s_ref is clamped >= 1e-12 at its binding above *)
     M.set static i Netlist.Device.n_kinds (d.Netlist.Device.w /. s_ref);
-    (* placer-lint: allow N2 s_ref is clamped >= 1e-12 at its binding above *)
     M.set static i (Netlist.Device.n_kinds + 1) (d.Netlist.Device.h /. s_ref);
     M.set static i (Netlist.Device.n_kinds + 2) crit.(i)
   done;

@@ -36,19 +36,7 @@
    unresolvable thunk or a missing [~key] argument stays quiet, and
    sanctioned units (telemetry, pool) are never reported through. *)
 
-module SMap = Map.Make (String)
-module SSet = Set.Make (String)
-
-type rule = C1 | C2 | A1
-
-type finding = {
-  d_file : string;
-  d_line : int;
-  d_col : int;
-  d_rule : rule;
-  d_message : string;
-  d_trace : string list;  (* flow trace for --explain; [] when trivial *)
-}
+open Ir
 
 let cache_entry_tails = [ "Cache.get_or_compute" ]
 
@@ -56,8 +44,6 @@ let is_cache_entry key =
   List.exists
     (fun t -> String.equal key t || String.ends_with ~suffix:("." ^ t) key)
     cache_entry_tails
-
-let pos_of = Effects.pos_of
 
 (* ----- free identifiers of an expression -----
 
@@ -122,9 +108,9 @@ let free_idents (e0 : Typedtree.expression) =
           | Texp_for (id, _, _, _, _, _) -> bind_ids [ id ]
           | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, args)
             when List.mem
-                   (Effects.strip_stdlib (Path.name p))
+                   (strip_stdlib (Path.name p))
                    write_target_names -> (
-              match Effects.nolabel_args args with
+              match nolabel_args args with
               | ({ Typedtree.exp_desc = Texp_ident (Path.Pident id, _, _); _ }
                  as tgt)
                 :: _ ->
@@ -200,8 +186,8 @@ let roots_of prog_uc defs names un0 =
       | None ->
           let r =
             if
-              SMap.mem un prog_uc.Effects.uc_fn_idents
-              || SMap.mem un prog_uc.Effects.uc_globals
+              SMap.mem un prog_uc.uc_fn_idents
+              || SMap.mem un prog_uc.uc_globals
             then SSet.empty
             else
               match Hashtbl.find_opt defs un with
@@ -230,35 +216,20 @@ let roots_of_expr prog_uc defs names e =
 (* Re-walk a lambda with the effects machinery (no task context) to
    collect its *direct* ambient reads and its referenced summarized
    functions; local helper lambdas it references are walked too. *)
-let thunk_closure prog (h : Effects.harvested) defs lam =
+let thunk_closure prog h defs lam =
   let ambs = ref [] in
   let seeds = ref SSet.empty in
   let seen_lams : Typedtree.expression list ref = ref [] in
   let rec do_lam (l : Typedtree.expression) =
     if not (List.memq l !seen_lams) then begin
       seen_lams := l :: !seen_lams;
-      let _, binds, body = Effects.peel_params l in
-      let env = Hashtbl.create 16 in
-      List.iter
-        (fun (un, i) -> Hashtbl.replace env un (Effects.Bparam i))
-        binds;
-      let acc = Effects.fresh_acc () in
-      let ctx =
-        {
-          Effects.cx_eng = prog.Effects.pr_eng;
-          cx_uc = h.Effects.h_uc;
-          cx_env = env;
-          cx_outers = [];
-          cx_acc = acc;
-          cx_sites = Queue.create ();
-          cx_task = None;
-        }
-      in
+      let _, env, body = Effects.param_env l in
+      let ctx = Effects.new_ctx prog.Effects.pr_eng h.h_uc env in
       Effects.walk ctx body;
-      ambs := acc.Effects.c_ambient @ !ambs;
+      ambs := ctx.Effects.cx_acc.Effects.c_ambient @ !ambs;
       List.iter
         (fun k -> seeds := SSet.add k !seeds)
-        (Effects.callee_keys h.Effects.h_uc prog.Effects.pr_known l);
+        (Effects.callee_keys h.h_uc prog.Effects.pr_known l);
       List.iter
         (fun (un, _) ->
           match Hashtbl.find_opt defs un with
@@ -309,14 +280,6 @@ let call_path parents key =
 
 (* ----- per-site checks ----- *)
 
-let labelled_arg args name =
-  List.find_map
-    (fun ((l : Asttypes.arg_label), a) ->
-      match (l, a) with
-      | Asttypes.Labelled n, Some e when String.equal n name -> Some e
-      | _ -> None)
-    args
-
 let rec resolve_thunk defs (e : Typedtree.expression) =
   match e.exp_desc with
   | Texp_function _ -> Some e
@@ -326,10 +289,10 @@ let rec resolve_thunk defs (e : Typedtree.expression) =
       | _ -> None)
   | _ -> None
 
-let check_site prog (h : Effects.harvested) defs emit ~loc args =
-  let site_file = h.Effects.h_uc.Effects.uc_file in
+let check_site prog h defs emit ~loc args =
+  let site_file = h.h_uc.uc_file in
   let site_line, _ = pos_of loc in
-  let nolabels = Effects.nolabel_args args in
+  let nolabels = nolabel_args args in
   let handle_expr = List.nth_opt nolabels 0 in
   let thunk_expr = List.nth_opt nolabels 1 in
   let key_expr = labelled_arg args "key" in
@@ -381,11 +344,11 @@ let check_site prog (h : Effects.harvested) defs emit ~loc args =
         (fun token (trace, (amb : Effects.Summaries.ambient)) ->
           emit
             {
-              d_file = site_file;
-              d_line = site_line;
-              d_col = 1;
-              d_rule = C1;
-              d_message =
+              file = site_file;
+              line = site_line;
+              col = 1;
+              rule = C1;
+              message =
                 Printf.sprintf
                   "cached computation reads ambient input '%s' (%s:%d) \
                    that its key cannot capture; a hit can return a value \
@@ -393,7 +356,7 @@ let check_site prog (h : Effects.harvested) defs emit ~loc args =
                    the key, drop the read, or allow with the reason \
                    (--explain C1 prints the call path)"
                   token amb.am_file amb.am_line;
-              d_trace = trace;
+              trace;
             })
         !candidates;
       (* C2: thunk roots vs key roots *)
@@ -401,7 +364,7 @@ let check_site prog (h : Effects.harvested) defs emit ~loc args =
       | None -> ()
       | Some ke ->
           let names : (string, string) Hashtbl.t = Hashtbl.create 16 in
-          let uc = h.Effects.h_uc in
+          let uc = h.h_uc in
           let key_roots = roots_of_expr uc defs names ke in
           let handle_roots =
             match handle_expr with
@@ -447,18 +410,18 @@ let check_site prog (h : Effects.harvested) defs emit ~loc args =
               in
               emit
                 {
-                  d_file = site_file;
-                  d_line = site_line;
-                  d_col = 1;
-                  d_rule = C2;
-                  d_message =
+                  file = site_file;
+                  line = site_line;
+                  col = 1;
+                  rule = C2;
+                  message =
                     Printf.sprintf
                       "thunk input '%s' influences the cached value but \
                        is not part of the key; two calls differing only \
                        in '%s' collide on one cache entry — fold it into \
                        the key or allow with the reason"
                       name name;
-                  d_trace =
+                  trace =
                     [
                       site_tag;
                       Printf.sprintf
@@ -476,8 +439,7 @@ let check_site prog (h : Effects.harvested) defs emit ~loc args =
 
 (* ----- site discovery ----- *)
 
-let find_sites prog (h : Effects.harvested) emit (e0 : Typedtree.expression)
-    =
+let find_sites prog h emit (e0 : Typedtree.expression) =
   let defs = collect_defs e0 in
   let it =
     {
@@ -486,7 +448,7 @@ let find_sites prog (h : Effects.harvested) emit (e0 : Typedtree.expression)
         (fun sub e ->
           (match e.Typedtree.exp_desc with
           | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, args) -> (
-              match Effects.resolve_call_key h.Effects.h_uc p with
+              match resolve_call_key h.h_uc p with
               | Some key when is_cache_entry key ->
                   check_site prog h defs emit ~loc:e.exp_loc args
               | _ -> ())
@@ -498,43 +460,19 @@ let find_sites prog (h : Effects.harvested) emit (e0 : Typedtree.expression)
 
 (* ----- A1: allocation inside [@@placer_lint.hot] functions ----- *)
 
-(* Known allocating stdlib entry points beyond the mutable
-   constructors the escape pass already tracks. [ref] is excluded on
-   purpose (see the header comment). *)
-let a1_extra_allocs =
-  [
-    "Array.to_list"; "Array.of_seq"; "List.init"; "List.map"; "List.mapi";
-    "List.map2"; "List.append"; "List.concat"; "List.concat_map";
-    "List.rev"; "List.rev_append"; "List.sort"; "List.stable_sort";
-    "List.fast_sort"; "List.filter"; "List.filter_map"; "List.of_seq";
-    "String.concat"; "String.sub"; "String.make"; "String.init";
-    "String.map"; "String.split_on_char"; "Printf.sprintf";
-    "Printf.ksprintf"; "Format.sprintf"; "Format.asprintf"; "^"; "@";
-    "Bytes.to_string"; "Bytes.sub_string"; "Buffer.contents";
-  ]
+(* [ref] cells are exempt (see the header comment) *)
+let a1_alloc_name n = is_alloc n && not (String.equal n "ref")
 
-let a1_alloc_name n =
-  (List.mem n Effects.alloc_names && not (String.equal n "ref"))
-  || List.mem n a1_extra_allocs
-
-let check_hot_fn emit (f : Effects.fn) =
+let check_hot_fn emit f =
   let flag ~loc desc =
-    let line, col = pos_of loc in
     emit
-      {
-        d_file = f.f_file;
-        d_line = line;
-        d_col = col;
-        d_rule = A1;
-        d_message =
-          Printf.sprintf
+      (finding ~file:f.f_file loc A1
+         (Printf.sprintf
             "heap allocation (%s) inside hot function %s \
              ([@@placer_lint.hot]); the per-move path must stay \
              allocation-free — hoist the storage into the engine state \
              or allow with the reason"
-            desc f.f_key;
-        d_trace = [];
-      }
+            desc f.f_key))
   in
   let rec deep (e : Typedtree.expression) =
     let it =
@@ -551,9 +489,8 @@ let check_hot_fn emit (f : Effects.fn) =
             | Texp_function _ -> flag ~loc:e.exp_loc "closure"
             | Texp_lazy _ -> flag ~loc:e.exp_loc "lazy block"
             | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, _)
-              when a1_alloc_name (Effects.strip_stdlib (Path.name p)) ->
-                flag ~loc:e.exp_loc
-                  ("call to " ^ Effects.strip_stdlib (Path.name p))
+              when a1_alloc_name (strip_stdlib (Path.name p)) ->
+                flag ~loc:e.exp_loc ("call to " ^ strip_stdlib (Path.name p))
             | _ -> ());
             Tast_iterator.default_iterator.expr sub e);
       }
@@ -580,30 +517,15 @@ let check (prog : Effects.program) =
   let findings = ref [] in
   let emit f = findings := f :: !findings in
   List.iter
-    (fun (h : Effects.harvested) ->
-      if not (prog.Effects.pr_sanctioned h.Effects.h_uc.Effects.uc_file)
-      then begin
-        List.iter
-          (fun (f : Effects.fn) -> find_sites prog h emit f.f_expr)
-          h.Effects.h_fns;
-        List.iter (find_sites prog h emit) h.Effects.h_scripts
+    (fun h ->
+      if not (prog.Effects.pr_sanctioned h.h_uc.uc_file) then begin
+        List.iter (fun f -> find_sites prog h emit f.f_expr) h.h_fns;
+        List.iter (find_sites prog h emit) h.h_scripts
       end)
     prog.Effects.pr_harvested;
   SMap.iter
-    (fun _ (f : Effects.fn) ->
+    (fun _ f ->
       if f.f_hot && not (prog.Effects.pr_sanctioned f.f_file) then
         check_hot_fn emit f)
     prog.Effects.pr_by_key;
-  (* dedupe identical findings (a site seen through a fn and a script
-     walk, or one allocation expression visited twice) *)
-  let cmp a b = compare (a.d_file, a.d_line, a.d_col, a.d_rule, a.d_message)
-      (b.d_file, b.d_line, b.d_col, b.d_rule, b.d_message)
-  in
-  let sorted = List.sort cmp !findings in
-  List.fold_left
-    (fun acc f ->
-      match acc with
-      | prev :: _ when cmp prev f = 0 -> acc
-      | _ -> f :: acc)
-    [] sorted
-  |> List.rev
+  List.rev !findings
