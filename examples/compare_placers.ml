@@ -9,10 +9,12 @@ let () =
   let name = if Array.length Sys.argv > 1 then Sys.argv.(1) else "VGA" in
   let circuit = Circuits.Testcases.get_exn name in
   Fmt.pr "comparing placers on %a@.@." Netlist.Circuit.pp circuit;
+  let module M = Experiments.Methods in
   let methods =
-    [ Experiments.Methods.sa ~moves:150_000 ();
-      Experiments.Methods.prev ();
-      Experiments.Methods.eplace_a () ]
+    List.map M.of_spec
+      [ { (M.default_spec M.Sa) with M.moves = 150_000 };
+        M.default_spec M.Prev;
+        M.default_spec M.Eplace ]
   in
   let rows =
     List.filter_map

@@ -18,7 +18,8 @@ let () =
     trained.Experiments.Gnn_setup.train_stats.Gnn.Train.final_accuracy;
 
   (* 2. conventional baseline *)
-  (match (Experiments.Methods.eplace_a ()).Experiments.Methods.run circuit with
+  let module M = Experiments.Methods in
+  (match (M.of_spec (M.default_spec M.Eplace)).M.run circuit with
   | Some o ->
       let e = Perfsim.Fom.evaluate o.Experiments.Methods.layout in
       Fmt.pr "ePlace-A  (conventional): FOM %.3f, area %.1f um^2@."
@@ -28,8 +29,8 @@ let () =
 
   (* 3. performance-driven run *)
   (match
-     (Experiments.Methods.eplace_ap ~quick:true ()).Experiments.Methods.run
-       circuit
+     (M.of_spec { (M.default_spec ~perf:true M.Eplace) with M.quick = true })
+       .M.run circuit
    with
   | Some o ->
       let e = Perfsim.Fom.evaluate o.Experiments.Methods.layout in

@@ -134,15 +134,6 @@ let sa_default_moves = 4_000_000
    the fine ordering work the tail of the SA schedule would. *)
 let template_default_moves = sa_default_moves / 8
 
-let prev ?(params = Prevwork.Prev_analytical.default_params) () =
-  instrumented ~name:"Prev[11]" (fun c ->
-      match Prevwork.Prev_analytical.place ~params c with
-      | Some r ->
-          Some
-            ( r.Prevwork.Prev_analytical.layout,
-              r.Prevwork.Prev_analytical.runtime_s )
-      | None -> None)
-
 (* Candidate selection for the performance-driven analytical methods.
 
    The GNN provides the in-loop gradients (Eq. 5); the final candidate
@@ -180,35 +171,26 @@ let select_by_fom ?(slack = 2.0) candidates =
           in
           Option.map snd best)
 
-let prev_perf ?(params = Prevwork.Prev_analytical.default_params)
-    ?(alpha = 60.0) ?quick () =
-  instrumented ~name:"Prev-perf*" (fun c ->
+(* The performance-driven analytical methods ensemble a few Eq.-5
+   weights: [place_seed hook k c] runs one restart (seed offset [k])
+   with the GNN gradient hook for one weight ([None] at weight 0), and
+   the candidates of every (weight, restart) pair are selected by the
+   two-stage rule. *)
+let perf_ensemble ~name ~restarts ~alpha ~quick place_seed =
+  instrumented ~name (fun c ->
       (* model training happens offline in the paper; exclude it *)
-      let trained = gnn_setup ?quick c in
+      let trained = gnn_setup ~quick c in
       let t0 = Telemetry.now () in
-      let one = { params with Prevwork.Prev_analytical.restarts = 1 } in
       let candidates =
         List.concat_map
           (fun a ->
-            let perf =
+            let hook =
               if Float.equal a 0.0 then None
               else Some (Gnn_setup.phi_grad_hook trained ~alpha:a)
             in
             List.filter_map
-              (fun k ->
-                let gp =
-                  { params.Prevwork.Prev_analytical.gp with
-                    Prevwork.Ntu_gp.seed =
-                      params.Prevwork.Prev_analytical.gp.Prevwork.Ntu_gp.seed
-                      + k }
-                in
-                Option.map
-                  (fun (r : Prevwork.Prev_analytical.result) ->
-                    r.Prevwork.Prev_analytical.layout)
-                  (Prevwork.Prev_analytical.place
-                     ~params:{ one with Prevwork.Prev_analytical.gp }
-                     ?perf c))
-              (List.init params.Prevwork.Prev_analytical.restarts Fun.id))
+              (fun k -> place_seed hook k c)
+              (List.init restarts Fun.id))
           [ 0.0; alpha /. 3.0; alpha; 3.0 *. alpha ]
       in
       match select_by_fom candidates with
@@ -222,55 +204,15 @@ let eplace_a ?(params = Eplace.Eplace_a.default_params) () =
           Some (r.Eplace.Eplace_a.layout, r.Eplace.Eplace_a.runtime_s)
       | None -> None)
 
-(* ePlace-AP ensembles a few Eq.-5 weights; candidates are collected
-   per restart seed and selected by the two-stage rule. *)
-let eplace_ap ?(params = Eplace.Eplace_a.default_params) ?(alpha = 60.0)
-    ?quick () =
-  instrumented ~name:"ePlace-AP" (fun c ->
-      (* model training happens offline in the paper; exclude it *)
-      let trained = gnn_setup ?quick c in
-      let t0 = Telemetry.now () in
-      let one = { params with Eplace.Eplace_a.restarts = 1 } in
-      let candidates =
-        List.concat_map
-          (fun a ->
-            let perf =
-              if Float.equal a 0.0 then None
-              else
-                Some
-                  { Eplace.Global_place.phi_grad =
-                      Gnn_setup.phi_grad_hook trained ~alpha:a }
-            in
-            List.filter_map
-              (fun k ->
-                let gp =
-                  { params.Eplace.Eplace_a.gp with
-                    Eplace.Gp_params.seed =
-                      params.Eplace.Eplace_a.gp.Eplace.Gp_params.seed + k }
-                in
-                Option.map
-                  (fun (r : Eplace.Eplace_a.result) ->
-                    r.Eplace.Eplace_a.layout)
-                  (Eplace.Eplace_a.place
-                     ~params:{ one with Eplace.Eplace_a.gp }
-                     ?perf c))
-              (List.init params.Eplace.Eplace_a.restarts Fun.id))
-          [ 0.0; alpha /. 3.0; alpha; 3.0 *. alpha ]
-      in
-      match select_by_fom candidates with
-      | Some layout -> Some (layout, Telemetry.now () -. t0)
-      | None -> None)
-
 (* ---------- the serializable job spec ---------- *)
 
 (* [spec] is the single construction point for every run the repo
    builds (tables, CLI, bench, the placement service): a pure record
    with a canonical JSON form, so a placement request can be shipped
    over a socket, logged, diffed, and content-hashed for the service's
-   result cache. [of_spec] owns every runner body; the optional-
-   argument constructors below it are thin wrappers that fill a spec,
-   so equivalent jobs hash identically no matter which door a caller
-   came through. *)
+   result cache. [of_spec] owns every runner body; [eplace_a ~params]
+   is the one constructor outside it, for callers that need a full
+   engine parameter record. *)
 
 (* Versioned per-family parameter block ("params" in the JSON form,
    carrying ["v"]: 1). Families without knobs beyond the common spec
@@ -344,149 +286,79 @@ let sa_params_of_spec (s : spec) ~perf =
     perf_alpha = s.alpha;
     check_every = s.check_every }
 
+(* The annealing families share one runner shape: with [perf], train
+   (or fetch) the circuit's GNN first — offline in the paper, so outside
+   the timed region — and hand its Phi to the cost; then time one
+   placement. *)
+let annealed (s : spec) ~name place =
+  instrumented ~name:(if s.perf then name ^ "-perf" else name) (fun c ->
+      let phi =
+        if s.perf then
+          Some (Gnn_setup.phi_of_layout (gnn_setup ~quick:s.quick c))
+        else None
+      in
+      let t0 = Telemetry.now () in
+      let layout = place (sa_params_of_spec s ~perf:phi) c in
+      Some (layout, Telemetry.now () -. t0))
+
 let of_spec (s : spec) =
-  match (s.kind, s.perf) with
-  | Sa, false ->
-      instrumented ~name:"SA" (fun c ->
-          let t0 = Telemetry.now () in
-          let params = sa_params_of_spec s ~perf:None in
-          let layout, _best_cost = Annealing.Sa_placer.place ~params c in
-          Some (layout, Telemetry.now () -. t0))
-  | Sa, true ->
-      instrumented ~name:"SA-perf" (fun c ->
-          (* model training happens offline in the paper; exclude it *)
-          let trained = gnn_setup ~quick:s.quick c in
-          let t0 = Telemetry.now () in
-          let params =
-            sa_params_of_spec s
-              ~perf:(Some (Gnn_setup.phi_of_layout trained))
-          in
-          let layout, _ = Annealing.Sa_placer.place ~params c in
-          Some (layout, Telemetry.now () -. t0))
-  | Template, false ->
-      instrumented ~name:"Tmpl" (fun c ->
-          let t0 = Telemetry.now () in
-          let params = sa_params_of_spec s ~perf:None in
-          let layout, _best_cost = Templates.Template_placer.place ~params c in
-          Some (layout, Telemetry.now () -. t0))
-  | Template, true ->
-      instrumented ~name:"Tmpl-perf" (fun c ->
-          (* model training happens offline in the paper; exclude it *)
-          let trained = gnn_setup ~quick:s.quick c in
-          let t0 = Telemetry.now () in
-          let params =
-            sa_params_of_spec s
-              ~perf:(Some (Gnn_setup.phi_of_layout trained))
-          in
-          let layout, _ = Templates.Template_placer.place ~params c in
-          Some (layout, Telemetry.now () -. t0))
-  | Matheuristic, perf ->
+  match s.kind with
+  | Sa ->
+      annealed s ~name:"SA" (fun params c ->
+          fst (Annealing.Sa_placer.place ~params c))
+  | Template ->
+      annealed s ~name:"Tmpl" (fun params c ->
+          fst (Templates.Template_placer.place ~params c))
+  | Matheuristic ->
       let mh =
         match s.params with
         | Mh_params m -> m
         | Default_params -> default_mh_params
       in
-      instrumented ~name:(if perf then "Math-perf" else "Math") (fun c ->
-          let phi =
-            if perf then
-              (* model training happens offline in the paper *)
-              Some (Gnn_setup.phi_of_layout (gnn_setup ~quick:s.quick c))
-            else None
-          in
-          let t0 = Telemetry.now () in
+      annealed s ~name:"Math" (fun sa c ->
           let params =
             {
-              Matheuristic.Mh_placer.sa = sa_params_of_spec s ~perf:phi;
+              Matheuristic.Mh_placer.sa;
               cycles = mh.mh_cycles;
               window = mh.mh_window;
               node_budget = mh.mh_node_budget;
               walk_neg = mh.mh_walk_neg;
             }
           in
-          let layout, _best_cost = Matheuristic.Mh_placer.place ~params c in
-          Some (layout, Telemetry.now () -. t0))
-  | Prev, false ->
-      let p = Prevwork.Prev_analytical.default_params in
-      prev
-        ~params:
-          { p with
-            Prevwork.Prev_analytical.restarts = s.restarts;
-            gp = { p.Prevwork.Prev_analytical.gp with
-                   Prevwork.Ntu_gp.seed = s.seed } }
-        ()
-  | Prev, true ->
-      let p = Prevwork.Prev_analytical.default_params in
-      prev_perf
-        ~params:
-          { p with
-            Prevwork.Prev_analytical.restarts = s.restarts;
-            gp = { p.Prevwork.Prev_analytical.gp with
-                   Prevwork.Ntu_gp.seed = s.seed } }
-        ~alpha:s.alpha ~quick:s.quick ()
-  | Eplace, false ->
-      let p = Eplace.Eplace_a.default_params in
-      eplace_a
-        ~params:
-          { p with
-            Eplace.Eplace_a.restarts = s.restarts;
-            gp = { p.Eplace.Eplace_a.gp with
-                   Eplace.Gp_params.seed = s.seed } }
-        ()
-  | Eplace, true ->
-      let p = Eplace.Eplace_a.default_params in
-      eplace_ap
-        ~params:
-          { p with
-            Eplace.Eplace_a.restarts = s.restarts;
-            gp = { p.Eplace.Eplace_a.gp with
-                   Eplace.Gp_params.seed = s.seed } }
-        ~alpha:s.alpha ~quick:s.quick ()
-
-(* ----- optional-argument constructors: thin wrappers over [of_spec] -----
-
-   These fill a spec and defer to [of_spec], so a job built here and
-   the equivalent JSON request hash and run identically. Defaults that
-   differ from [default_spec] (e.g. [template_perf]'s single restart)
-   live in the wrapper signature, preserving each constructor's
-   historical behaviour. *)
-
-let sa ?(moves = sa_default_moves) ?(seed = 1) ?(restarts = 1)
-    ?(wl_weight = 1.0) ?(area_weight = 1.0) ?(check_every = 0) () =
-  of_spec
-    { (default_spec Sa) with
-      moves; seed; restarts; wl_weight; area_weight; check_every }
-
-let sa_perf ?(moves = 120_000) ?(seed = 1) ?(restarts = 1) ?(alpha = 2.0)
-    ?(check_every = 0) ?(quick = false) () =
-  of_spec
-    { (default_spec ~perf:true Sa) with
-      moves; seed; restarts; alpha; check_every; quick }
-
-let template ?(moves = template_default_moves) ?(seed = 1) ?(restarts = 2)
-    ?(wl_weight = 1.0) ?(area_weight = 1.0) ?(check_every = 0) () =
-  of_spec
-    { (default_spec Template) with
-      moves; seed; restarts; wl_weight; area_weight; check_every }
-
-let template_perf ?(moves = 120_000) ?(seed = 1) ?(restarts = 1)
-    ?(alpha = 2.0) ?(check_every = 0) ?(quick = false) () =
-  of_spec
-    { (default_spec ~perf:true Template) with
-      moves; seed; restarts; alpha; check_every; quick }
-
-let matheuristic ?(moves = template_default_moves) ?(seed = 1)
-    ?(restarts = 1) ?(wl_weight = 1.0) ?(area_weight = 1.0)
-    ?(check_every = 0) ?(window = default_mh_params.mh_window)
-    ?(node_budget = default_mh_params.mh_node_budget)
-    ?(cycles = default_mh_params.mh_cycles)
-    ?(walk_neg = default_mh_params.mh_walk_neg) () =
-  of_spec
-    { (default_spec Matheuristic) with
-      moves; seed; restarts; wl_weight; area_weight; check_every;
-      params =
-        Mh_params
-          { mh_window = window; mh_node_budget = node_budget;
-            mh_cycles = cycles; mh_walk_neg = walk_neg } }
+          fst (Matheuristic.Mh_placer.place ~params c))
+  | Prev ->
+      let module P = Prevwork.Prev_analytical in
+      let with_seed restarts seed =
+        let d = P.default_params in
+        { d with P.restarts; gp = { d.P.gp with Prevwork.Ntu_gp.seed } }
+      in
+      let place ?perf params c =
+        Option.map
+          (fun (r : P.result) -> (r.P.layout, r.P.runtime_s))
+          (P.place ~params ?perf c)
+      in
+      if not s.perf then
+        instrumented ~name:"Prev[11]" (place (with_seed s.restarts s.seed))
+      else
+        perf_ensemble ~name:"Prev-perf*" ~restarts:s.restarts ~alpha:s.alpha
+          ~quick:s.quick (fun perf k c ->
+            Option.map fst (place ?perf (with_seed 1 (s.seed + k)) c))
+  | Eplace ->
+      let module E = Eplace.Eplace_a in
+      let with_seed restarts seed =
+        let d = E.default_params in
+        { d with E.restarts; gp = { d.E.gp with Eplace.Gp_params.seed } }
+      in
+      if not s.perf then eplace_a ~params:(with_seed s.restarts s.seed) ()
+      else
+        perf_ensemble ~name:"ePlace-AP" ~restarts:s.restarts ~alpha:s.alpha
+          ~quick:s.quick (fun hook k c ->
+            let perf =
+              Option.map (fun phi_grad -> { Eplace.Global_place.phi_grad }) hook
+            in
+            Option.map
+              (fun (r : E.result) -> r.E.layout)
+              (E.place ~params:(with_seed 1 (s.seed + k)) ?perf c))
 
 (* ----- canonical serialization -----
 

@@ -53,11 +53,10 @@ type outcome = {
 
 (** A runnable method. The record is private: callers read the fields
     but construction is confined to this module — {!of_spec} for
-    everything spec-expressible (the spec-filling constructors below
-    are thin wrappers over it), plus the escape hatches taking full
-    engine parameter records. A [t] can therefore always be traced to
-    one construction point, and spec-built ones to a serializable,
-    hashable job. *)
+    everything spec-expressible, plus the {!eplace_a} escape hatch
+    taking a full engine parameter record. A [t] can therefore always
+    be traced to one construction point, and spec-built ones to a
+    serializable, hashable job. *)
 type t = private {
   method_name : string;
   run : Netlist.Circuit.t -> outcome option;
@@ -76,9 +75,8 @@ val template_default_moves : int
     knob the tables, the CLI and the placement service vary, has a
     canonical JSON encoding, and content-hashes stably (field order in
     a client's JSON does not change the hash). [of_spec] is the single
-    construction point: the spec-filling constructors below wrap it,
-    and only the [Prev]/[Eplace] escape hatches taking full engine
-    parameter records bypass it.
+    construction point; only the {!eplace_a} escape hatch bypasses
+    it.
 
     Family-specific knobs beyond the common fields live in the
     versioned [params] block ({!family_params}); families without any
@@ -146,63 +144,10 @@ val spec_hash : spec -> string
 (** Hex digest of {!spec_canonical}; the spec component of the
     service's (netlist, constraints, spec) cache key. *)
 
-(** {2 Escape-hatch constructors}
-
-    @deprecated Build a {!spec} and call {!of_spec}; these remain for
-    callers needing full engine parameter records. *)
-
-val sa :
-  ?moves:int -> ?seed:int -> ?restarts:int -> ?wl_weight:float ->
-  ?area_weight:float -> ?check_every:int -> unit -> t
-(** Conventional simulated annealing at a converged move budget.
-    [restarts > 1] runs independent anneals in parallel on the default
-    pool and keeps the best final cost. [check_every > 0] cross-checks
-    the incremental cost engine against a full recomputation every N
-    evaluations.
-    @deprecated Prefer [of_spec (default_spec Sa)] with overrides. *)
-
-val sa_perf :
-  ?moves:int -> ?seed:int -> ?restarts:int -> ?alpha:float ->
-  ?check_every:int -> ?quick:bool -> unit -> t
-(** Performance-driven SA [19]: GNN inference inside the cost.
-    @deprecated Prefer [of_spec (default_spec ~perf:true Sa)]. *)
-
-val template :
-  ?moves:int -> ?seed:int -> ?restarts:int -> ?wl_weight:float ->
-  ?area_weight:float -> ?check_every:int -> unit -> t
-(** Template composition over the default {!Templates.Template_store}.
-    @deprecated Prefer [of_spec (default_spec Template)]. *)
-
-val template_perf :
-  ?moves:int -> ?seed:int -> ?restarts:int -> ?alpha:float ->
-  ?check_every:int -> ?quick:bool -> unit -> t
-(** Performance-driven template composition (GNN Phi in the cost).
-    @deprecated Prefer [of_spec (default_spec ~perf:true Template)]. *)
-
-val matheuristic :
-  ?moves:int -> ?seed:int -> ?restarts:int -> ?wl_weight:float ->
-  ?area_weight:float -> ?check_every:int -> ?window:int ->
-  ?node_budget:int -> ?cycles:int -> ?walk_neg:bool -> unit -> t
-(** SA global moves alternating with exact ILP re-optimization of
-    [window]-island neighbourhoods ({!Matheuristic.Mh_placer}).
-    @deprecated Prefer [of_spec (default_spec Matheuristic)] with a
-    {!Mh_params} override. *)
-
-val prev : ?params:Prevwork.Prev_analytical.params -> unit -> t
-(** @deprecated Prefer {!of_spec} unless a custom [params] record is
-    needed. *)
-
-val prev_perf :
-  ?params:Prevwork.Prev_analytical.params -> ?alpha:float -> ?quick:bool ->
-  unit -> t
-(** @deprecated Prefer {!of_spec} unless a custom [params] record is
-    needed. *)
+(** {2 Escape hatch} *)
 
 val eplace_a : ?params:Eplace.Eplace_a.params -> unit -> t
-(** @deprecated Prefer {!of_spec} unless a custom [params] record is
-    needed. *)
-
-val eplace_ap :
-  ?params:Eplace.Eplace_a.params -> ?alpha:float -> ?quick:bool -> unit -> t
-(** @deprecated Prefer {!of_spec} unless a custom [params] record is
-    needed. *)
+(** Conventional ePlace-A from a full engine parameter record — the one
+    constructor outside {!of_spec}, for callers that vary engine knobs
+    no spec field carries (the scaling study, the pool and telemetry
+    tests). Prefer {!of_spec} everywhere else. *)

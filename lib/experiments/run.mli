@@ -49,10 +49,6 @@ val spec_of_kind : cfg -> ?perf:bool -> Methods.kind -> Methods.spec
     same serializable value the CLI and the placement service build
     runs from. *)
 
-val method_of_kind : cfg -> ?perf:bool -> Methods.kind -> Methods.t
-(** [Methods.of_spec] of {!spec_of_kind}; retained as the historical
-    entry point. *)
-
 val phase_table : string list -> method_row list list -> Table_fmt.t
 (** Per-method GP/DP/GNN runtime columns for the given results (as
     returned by {!table3} or {!table7}). *)

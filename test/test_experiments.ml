@@ -84,10 +84,6 @@ let method_tests =
           { Eplace.Eplace_a.default_params with
             Eplace.Eplace_a.restarts = 1; dp_passes = 1 }
         in
-        let fast_prev =
-          { Prevwork.Prev_analytical.default_params with
-            Prevwork.Prev_analytical.restarts = 1; passes = 1 }
-        in
         List.iter
           (fun (m : Me.t) ->
             match m.Me.run c with
@@ -96,7 +92,8 @@ let method_tests =
                   Alcotest.failf "%s produced an illegal layout"
                     m.Me.method_name
             | None -> Alcotest.failf "%s failed" m.Me.method_name)
-          [ Me.sa ~moves:5000 (); Me.prev ~params:fast_prev ();
+          [ Me.of_spec { (Me.default_spec Me.Sa) with Me.moves = 5000 };
+            Me.of_spec { (Me.default_spec Me.Prev) with Me.restarts = 1 };
             Me.eplace_a ~params:fast_eplace () ]);
     Alcotest.test_case "quick fig2 ablation shows area-term benefit" `Slow
       (fun () ->
@@ -138,7 +135,7 @@ let shape_tests =
     Alcotest.test_case "analytical beats converged SA on hpwl (CC-OTA)"
       `Slow (fun () ->
         let c = Circuits.Testcases.get_exn "CC-OTA" in
-        let sa = Me.sa ~moves:150_000 () in
+        let sa = Me.of_spec { (Me.default_spec Me.Sa) with Me.moves = 150_000 } in
         let ep = Me.eplace_a () in
         match (sa.Me.run c, ep.Me.run c) with
         | Some s, Some e ->
