@@ -4,7 +4,8 @@
    GNN performance term for the performance-driven variant [19]), with
    a soft penalty for ordering chains across islands. All evaluation
    goes through the incremental {!Eval} engine; this module only owns
-   the schedule (temperature, acceptance, restarts). *)
+   the schedule (temperature, acceptance, restarts), which the template
+   and matheuristic placers drive too. *)
 
 type params = {
   seed : int;
@@ -50,78 +51,157 @@ let objective_of_params (p : params) : Eval.objective =
     perf_alpha = p.perf_alpha;
   }
 
+(* One anneal in progress. Counters are batched here and published
+   once by [finish]: the totals the collector merges are identical,
+   and the per-move path stays free of collector lookups. *)
+type schedule = {
+  eng : Eval.t;
+  rng : Numerics.Rng.t;
+  propose : Eval.t -> Numerics.Rng.t -> unit;
+  on_accept : unit -> unit;
+  per_temp : int;
+  cooling : float;
+  mutable current : float;
+  mutable temp : float;
+  mutable best : float;
+  mutable best_layout : Netlist.Layout.t;
+  mutable moves : int;
+  mutable evals : int;
+  mutable accepted : int;
+  mutable rejected : int;
+}
+
+let engine s = s.eng
+
+let cost s =
+  s.evals <- s.evals + 1;
+  Eval.cost s.eng
+
+let record_best s c' =
+  if c' < s.best then begin
+    s.best <- c';
+    s.best_layout <- Eval.snapshot s.eng
+  end
+
+let resync s =
+  s.current <- cost s;
+  s.current
+
+let commit s c' =
+  Eval.commit s.eng;
+  s.current <- c';
+  record_best s c'
+
+let plateau n = max 60 (14 * n * n)
+
+(* SA's 14n^2 plateau assumes the full 4M budget; at an eighth of that
+   a large circuit would see only a handful of temperatures and
+   quench, so the reduced-budget families cap it at ~100 stages. *)
+let capped_plateau ~moves n = max 60 (min (plateau n) (moves / 100))
+
+let start ?(propose = Eval.propose) ?(on_accept = ignore) ~per_temp
+    (p : params) ~rng st =
+  let eng = Eval.make ~check_every:p.check_every (objective_of_params p) st in
+  let current = Eval.cost eng in
+  let s =
+    {
+      eng;
+      rng;
+      propose;
+      on_accept;
+      per_temp;
+      cooling = p.cooling;
+      current;
+      temp = 0.0;
+      best = current;
+      best_layout = Eval.snapshot eng;
+      moves = 0;
+      evals = 1;
+      accepted = 0;
+      rejected = 0;
+    }
+  in
+  (* initial temperature from average uphill delta over a probe walk *)
+  let uphill = ref 0.0 and n_up = ref 0 in
+  for _ = 1 to 40 do
+    propose eng rng;
+    let c' = cost s in
+    if c' > current then begin
+      uphill := !uphill +. (c' -. current);
+      incr n_up
+    end;
+    Eval.revert eng
+  done;
+  let avg = if !n_up = 0 then 0.05 else !uphill /. float_of_int !n_up in
+  (* placer-lint: allow N2 accept0 is a tuning constant in (0,1) (default 0.85), so log accept0 is negative and nonzero *)
+  s.temp <- Float.max 1e-6 (-.avg /. log p.accept0);
+  s
+
+(* [current] and [temp] live in local refs: a mutable float field of a
+   mixed record is boxed on every write. *)
+let plateaus s budget =
+  let current = ref s.current and temp = ref s.temp in
+  let total = ref 0 in
+  while !total < budget do
+    let upto = min budget (!total + s.per_temp) in
+    while !total < upto do
+      incr total;
+      s.propose s.eng s.rng;
+      let c' = cost s in
+      let dc = c' -. !current in
+      (* placer-lint: allow N2 temp is seeded from start's Float.max 1e-6 t0 and only ever multiplied by the positive cooling factor *)
+      if dc <= 0.0 || Numerics.Rng.float s.rng < exp (-.dc /. !temp) then begin
+        current := c';
+        Eval.commit s.eng;
+        s.accepted <- s.accepted + 1;
+        s.on_accept ();
+        record_best s c'
+      end
+      else begin
+        s.rejected <- s.rejected + 1;
+        Eval.revert s.eng
+      end
+    done;
+    temp := !temp *. s.cooling
+  done;
+  s.moves <- s.moves + !total;
+  s.current <- !current;
+  s.temp <- !temp
+[@@placer_lint.hot]
+
+let finish s =
+  Telemetry.Counter.add moves_counter s.moves;
+  Telemetry.Counter.add evals_counter s.evals;
+  Telemetry.Counter.add accepted_counter s.accepted;
+  Telemetry.Counter.add rejected_counter s.rejected;
+  Eval.flush_counters s.eng;
+  (s.best, s.best_layout)
+
+(* best final cost wins; ties break to the lowest restart index, so the
+   winner does not depend on scheduling *)
+let select runs =
+  let best_cost, best_layout =
+    Array.fold_left
+      (fun ((best_cost, _) as best) ((cost, _) as r) ->
+        if cost < best_cost then r else best)
+      runs.(0) runs
+  in
+  Telemetry.Gauge.set best_cost_gauge best_cost;
+  Telemetry.Span.with_ ~name:"dp" (fun () ->
+      Netlist.Layout.normalize best_layout);
+  (best_layout, best_cost)
+
 (* One full annealing run on its own random stream. The search is SA's
    "global placement" phase; the final snapshot normalisation is its
    (trivial) detailed phase, so the telemetry phase names line up
    across placer families. *)
 let anneal ~params ~rng (c : Netlist.Circuit.t) =
   Telemetry.Span.with_ ~name:"gp" (fun () ->
-  let st = Eval.make_state rng c in
-  let eng =
-    Eval.make ~check_every:params.check_every (objective_of_params params) st
-  in
-  (* counters are batched locally and published once per anneal: the
-     totals the collector merges are identical, and the per-move path
-     stays free of collector lookups *)
-  let n_evals = ref 0 and n_accepted = ref 0 and n_rejected = ref 0 in
-  let cost_of () =
-    incr n_evals;
-    Eval.cost eng
-  in
-  let current = ref (cost_of ()) in
-  let best = ref !current in
-  let best_snapshot = ref (Eval.snapshot eng) in
-  (* initial temperature from average uphill delta over a probe walk *)
-  let probe = 40 in
-  let uphill = ref 0.0 and n_up = ref 0 in
-  for _ = 1 to probe do
-    Eval.propose eng rng;
-    let c' = cost_of () in
-    if c' > !current then begin
-      uphill := !uphill +. (c' -. !current);
-      incr n_up
-    end;
-    Eval.revert eng
-  done;
-  let t0 =
-    let avg = if !n_up = 0 then 0.05 else !uphill /. float_of_int !n_up in
-    (* placer-lint: allow N2 accept0 is a tuning constant in (0,1) (default 0.85), so log accept0 is negative and nonzero *)
-    -.avg /. log params.accept0
-  in
-  let temp = ref (Float.max 1e-6 t0) in
-  let n_islands = Array.length (Eval.state eng).Eval.islands in
-  let per_temp = max 60 (14 * n_islands * n_islands) in
-  let total = ref 0 in
-  while !total < params.moves do
-    let upto = min params.moves (!total + per_temp) in
-    while !total < upto do
-      incr total;
-      Eval.propose eng rng;
-      let c' = cost_of () in
-      let dc = c' -. !current in
-      (* placer-lint: allow N2 temp starts at Float.max 1e-6 t0 and is only ever multiplied by the positive cooling factor *)
-      if dc <= 0.0 || Numerics.Rng.float rng < exp (-.dc /. !temp) then begin
-        current := c';
-        Eval.commit eng;
-        incr n_accepted;
-        if c' < !best then begin
-          best := c';
-          best_snapshot := Eval.snapshot eng
-        end
-      end
-      else begin
-        incr n_rejected;
-        Eval.revert eng
-      end
-    done;
-    temp := !temp *. params.cooling
-  done;
-  Telemetry.Counter.add moves_counter !total;
-  Telemetry.Counter.add evals_counter !n_evals;
-  Telemetry.Counter.add accepted_counter !n_accepted;
-  Telemetry.Counter.add rejected_counter !n_rejected;
-  Eval.flush_counters eng;
-  (!best, !best_snapshot))
+      let st = Eval.make_state rng c in
+      let n = Array.length st.Eval.islands in
+      let s = start ~per_temp:(plateau n) params ~rng st in
+      plateaus s params.moves;
+      finish s)
 
 let place ?(params = default_params) (c : Netlist.Circuit.t) =
   let runs =
@@ -135,16 +215,4 @@ let place ?(params = default_params) (c : Netlist.Circuit.t) =
       Pool.map (Pool.default ()) (fun rng -> anneal ~params ~rng c) rngs
     end
   in
-  (* best final cost wins; ties break to the lowest restart index, so
-     the winner does not depend on scheduling *)
-  let best = ref runs.(0) in
-  Array.iter
-    (fun r ->
-      let cost, _ = r and best_cost, _ = !best in
-      if cost < best_cost then best := r)
-    runs;
-  let best_cost, best_layout = !best in
-  Telemetry.Gauge.set best_cost_gauge best_cost;
-  Telemetry.Span.with_ ~name:"dp" (fun () ->
-      Netlist.Layout.normalize best_layout);
-  (best_layout, best_cost)
+  select runs

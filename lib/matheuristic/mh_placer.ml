@@ -32,23 +32,9 @@ let default_params =
     walk_neg = false;
   }
 
-let moves_counter = Telemetry.Counter.make "sa.moves"
-let accepted_counter = Telemetry.Counter.make "sa.accepted"
-let rejected_counter = Telemetry.Counter.make "sa.rejected"
-let evals_counter = Telemetry.Counter.make "sa.evals"
 let windows_counter = Telemetry.Counter.make "mh.windows"
 let win_accept_counter = Telemetry.Counter.make "mh.window_accepts"
 let win_reject_counter = Telemetry.Counter.make "mh.window_rejects"
-let best_cost_gauge = Telemetry.Gauge.make "sa.best_cost"
-
-let objective_of_params (p : Sa_placer.params) : Eval.objective =
-  {
-    Eval.area_weight = p.Sa_placer.area_weight;
-    wl_weight = p.Sa_placer.wl_weight;
-    order_penalty = p.Sa_placer.order_penalty;
-    perf = p.Sa_placer.perf;
-    perf_alpha = p.Sa_placer.perf_alpha;
-  }
 
 (* Per-anneal window scratch, sized once: device->item map, island
    membership, device offsets within the current window's islands, and
@@ -274,84 +260,16 @@ let anneal ~(params : params) ~rng ~on_window (c : Netlist.Circuit.t) =
   let rng_sa = streams.(0) and rng_win = streams.(1) in
   let sa = params.sa in
   let st = Eval.make_state rng_sa c in
-  let eng =
-    Eval.make ~check_every:sa.Sa_placer.check_every (objective_of_params sa) st
-  in
   let n = Array.length st.Eval.islands in
   let sc = make_scratch c n in
-  let n_evals = ref 0 and n_accepted = ref 0 and n_rejected = ref 0 in
-  let n_moves = ref 0 in
   let n_windows = ref 0 and n_wacc = ref 0 and n_wrej = ref 0 in
-  let cost_of () =
-    incr n_evals;
-    Eval.cost eng
-  in
-  let current = ref 0.0 and best = ref infinity in
-  let best_snapshot = ref None in
-  let note_best c' =
-    if c' < !best then begin
-      best := c';
-      best_snapshot := Some (Eval.snapshot eng)
-    end
-  in
-  let temp = ref 1.0 in
-  (* initial evaluation + temperature probe, as in the SA schedule *)
-  Telemetry.Span.with_ ~name:"gp" (fun () ->
-      current := cost_of ();
-      best := !current;
-      best_snapshot := Some (Eval.snapshot eng);
-      let probe = 40 in
-      let uphill = ref 0.0 and n_up = ref 0 in
-      for _ = 1 to probe do
-        Eval.propose eng rng_sa;
-        let c' = cost_of () in
-        if c' > !current then begin
-          uphill := !uphill +. (c' -. !current);
-          incr n_up
-        end;
-        Eval.revert eng
-      done;
-      let t0 =
-        let avg = if !n_up = 0 then 0.05 else !uphill /. float_of_int !n_up in
-        (* placer-lint: allow N2 accept0 is a tuning constant in (0,1) (default 0.85), so log accept0 is negative and nonzero *)
-        -.avg /. log sa.Sa_placer.accept0
-      in
-      temp := Float.max 1e-6 t0);
-  (* short budgets see few plateaus under SA's 14n^2 rule; cap like the
-     template placer so every budget cools through ~100 stages *)
-  let per_temp =
-    max 60 (min (14 * n * n) (max 1 (sa.Sa_placer.moves / 100)))
-  in
-  let per_cycle = max 1 (sa.Sa_placer.moves / max 1 params.cycles) in
-  let global_phase budget =
+  let sched =
     Telemetry.Span.with_ ~name:"gp" (fun () ->
-        let total = ref 0 in
-        while !total < budget do
-          let upto = min budget (!total + per_temp) in
-          while !total < upto do
-            incr total;
-            Eval.propose eng rng_sa;
-            let c' = cost_of () in
-            let dc = c' -. !current in
-            if
-              dc <= 0.0
-              (* placer-lint: allow N2 temp is seeded with Float.max 1e-6 t0 and only ever multiplied by the positive cooling factor *)
-              || Numerics.Rng.float rng_sa < exp (-.dc /. !temp)
-            then begin
-              current := c';
-              Eval.commit eng;
-              incr n_accepted;
-              note_best c'
-            end
-            else begin
-              incr n_rejected;
-              Eval.revert eng
-            end
-          done;
-          temp := !temp *. sa.Sa_placer.cooling
-        done;
-        n_moves := !n_moves + !total)
+        let per_temp = Sa_placer.capped_plateau ~moves:sa.Sa_placer.moves n in
+        Sa_placer.start ~per_temp sa ~rng:rng_sa st)
   in
+  let eng = Sa_placer.engine sched in
+  let per_cycle = max 1 (sa.Sa_placer.moves / max 1 params.cycles) in
   let window_phase () =
     let k = min params.window n in
     if k >= 2 then
@@ -371,7 +289,7 @@ let anneal ~(params : params) ~rng ~on_window (c : Netlist.Circuit.t) =
             while !s + k <= n do
               (* re-sync the arena (the previous decision may have been
                  a revert, which leaves it stale until the next cost) *)
-              current := cost_of ();
+              let before = Sa_placer.resync sched in
               let seq = seq_of () in
               let ws = Array.init k (fun i -> seq.(!s + i)) in
               mark sc st ws;
@@ -385,13 +303,10 @@ let anneal ~(params : params) ~rng ~on_window (c : Netlist.Circuit.t) =
               | None -> ()
               | Some sol ->
                   apply_orders eng sc ws sol;
-                  let before = !current in
-                  let c' = cost_of () in
+                  let c' = Sa_placer.cost sched in
                   if c' <= before then begin
-                    Eval.commit eng;
-                    current := c';
+                    Sa_placer.commit sched c';
                     incr n_wacc;
-                    note_best c';
                     on_window ~accepted:true ~before ~after:c'
                   end
                   else begin
@@ -411,20 +326,14 @@ let anneal ~(params : params) ~rng ~on_window (c : Netlist.Circuit.t) =
           if params.walk_neg then sweep (fun () -> st.Eval.sp.Seqpair.neg))
   in
   for _cycle = 1 to max 1 params.cycles do
-    global_phase per_cycle;
+    Telemetry.Span.with_ ~name:"gp" (fun () ->
+        Sa_placer.plateaus sched per_cycle);
     window_phase ()
   done;
-  Telemetry.Counter.add moves_counter !n_moves;
-  Telemetry.Counter.add evals_counter !n_evals;
-  Telemetry.Counter.add accepted_counter !n_accepted;
-  Telemetry.Counter.add rejected_counter !n_rejected;
   Telemetry.Counter.add windows_counter !n_windows;
   Telemetry.Counter.add win_accept_counter !n_wacc;
   Telemetry.Counter.add win_reject_counter !n_wrej;
-  Eval.flush_counters eng;
-  match !best_snapshot with
-  | Some snap -> (!best, snap)
-  | None -> assert false (* the initial evaluation always set it *)
+  Sa_placer.finish sched
 
 let place ?(params = default_params)
     ?(on_window = fun ~accepted:_ ~before:_ ~after:_ -> ())
@@ -444,15 +353,4 @@ let place ?(params = default_params)
         rngs
     end
   in
-  (* best final cost wins; ties break to the lowest restart index *)
-  let best = ref runs.(0) in
-  Array.iter
-    (fun r ->
-      let cost, _ = r and best_cost, _ = !best in
-      if cost < best_cost then best := r)
-    runs;
-  let best_cost, best_layout = !best in
-  Telemetry.Gauge.set best_cost_gauge best_cost;
-  Telemetry.Span.with_ ~name:"dp" (fun () ->
-      Netlist.Layout.normalize best_layout);
-  (best_layout, best_cost)
+  Sa_placer.select runs

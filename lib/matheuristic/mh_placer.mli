@@ -1,16 +1,20 @@
 (** Matheuristic placer: SA-style global moves alternating with exact
     ILP re-optimization of bounded windows.
 
-    Each cycle runs a slice of the annealing schedule through the
-    incremental {!Annealing.Eval} engine (the "gp" telemetry phase),
-    then sweeps sliding windows of [window] islands — whole symmetry
-    islands, never split — re-solving each window's sequence pair
-    exactly with {!Window_ilp} (the "dp" phase; the solves themselves
-    are timed under the nested "ilp" span). An ILP proposal is applied
-    through {!Annealing.Eval.set_order} and gated by the true
-    incremental cost: it is committed only when it lowers or preserves
-    the current cost, and reverted otherwise, so the engine's
-    bit-equality contract extends through the exact phase.
+    Each cycle runs a slice of the SA placer's annealing schedule
+    through the incremental {!Annealing.Eval} engine (the "gp"
+    telemetry phase), with SA's sequence-pair moves and the template
+    placer's plateau rule, {!Annealing.Sa_placer.capped_plateau}; the
+    temperature carries over from one cycle to the next. It then
+    sweeps sliding windows of [window] islands — whole symmetry islands,
+    never split — re-solving each window's sequence pair exactly with
+    {!Window_ilp} (the "dp" phase; the solves themselves are timed under
+    the nested "ilp" span). An ILP proposal is applied through
+    {!Annealing.Eval.set_order} and gated by the true incremental cost:
+    it is committed only when it lowers or preserves the current cost
+    (and becomes the schedule's current, and possibly best, cost), and
+    reverted otherwise, so the engine's bit-equality contract extends
+    through the exact phase.
 
     Determinism: restarts pre-split the master stream with
     {!Numerics.Rng.split_n} and fan out on the {!Pool} (task-order
