@@ -1,6 +1,7 @@
 (* Benchmark harness: regenerates every table and figure of the
-   paper's evaluation (text output), and exposes Bechamel
-   micro-benchmarks of each experiment's computational kernel.
+   paper's evaluation (text output), writes the BENCH_*.json
+   benchmarks (Json_benches), and exposes Bechamel micro-benchmarks of
+   each experiment's computational kernel.
 
    Usage:
      main.exe                 run all tables and figures (full budgets)
@@ -11,7 +12,17 @@
      main.exe --check-eval N  SA debug: cross-check the incremental cost
                               engine every N evaluations (0 = off)
      main.exe --micro         run the Bechamel kernel benchmarks
-*)
+     main.exe sa-eval [MOVES] [OUT]
+                              incremental vs full SA cost per move
+                              (200000 moves, BENCH_sa_eval.json)
+     main.exe templates [OUT] SA vs template composition, cold and warm
+                              (BENCH_templates.json)
+     main.exe matheuristic [OUT]
+                              SA vs the matheuristic
+                              (BENCH_matheuristic.json)
+   The subcommands take --jobs and no other flag. Unknown flags,
+   unknown experiments and malformed arguments exit 1 with a usage
+   summary. *)
 
 let say fmt = Fmt.pr fmt
 
@@ -31,15 +42,17 @@ let run_fig2 cfg =
     "dropping the area term costs >20% area and wirelength";
   Experiments.Table_fmt.render Fmt.stdout (Experiments.Run.fig2 cfg)
 
+let run_comparison table phases cfg =
+  let t, breakdown = table cfg in
+  Experiments.Table_fmt.render Fmt.stdout t;
+  say "@.per-phase runtime breakdown (s%s):@." phases;
+  Experiments.Table_fmt.render Fmt.stdout breakdown
+
 let run_table3 cfg =
   banner "Table III: conventional comparison (SA / prev [11] / ePlace-A)"
     "avg ratios vs ePlace-A: SA 1.11x area, 1.14x HPWL, 55x runtime; \
      [11] 1.25x area, 1.24x HPWL";
-  let t, results = Experiments.Run.table3 cfg in
-  Experiments.Table_fmt.render Fmt.stdout t;
-  say "@.per-phase runtime breakdown (s):@.";
-  Experiments.Table_fmt.render Fmt.stdout
-    (Experiments.Run.phase_table [ "SA"; "P11"; "eP"; "Tmpl"; "Math" ] results)
+  run_comparison Experiments.Run.table3 "" cfg
 
 let run_table4 cfg =
   banner "Table IV: detailed placement only, same GP input"
@@ -61,11 +74,7 @@ let run_table7 cfg =
   banner "Table VII: performance-driven area/HPWL/runtime"
     "avg ratios vs ePlace-AP: SA-perf 1.09x area, 3.09x runtime; \
      perf* 1.14x area, 1.13x HPWL";
-  let t, results = Experiments.Run.table7 cfg in
-  Experiments.Table_fmt.render Fmt.stdout t;
-  say "@.per-phase runtime breakdown (s; GNN = offline setup):@.";
-  Experiments.Table_fmt.render Fmt.stdout
-    (Experiments.Run.phase_table [ "SAp"; "P11p"; "ePAP"; "Tmplp"; "Mathp" ] results)
+  run_comparison Experiments.Run.table7 "; GNN = offline setup" cfg
 
 let run_fig5 cfg =
   banner "Fig. 5: HPWL-area tradeoff points on CM-OTA1"
@@ -215,68 +224,104 @@ let micro () =
              | Some _ | None -> say "%-28s (no estimate)@." name))
     tests
 
+let usage () =
+  Fmt.epr
+    "usage: main.exe [--quick] [--jobs N] [--check-eval N] [EXPERIMENT...]@.\
+    \       main.exe [--jobs N] --micro@.\
+    \       main.exe [--jobs N] sa-eval [MOVES] [OUT]@.\
+    \       main.exe [--jobs N] templates [OUT]@.\
+    \       main.exe [--jobs N] matheuristic [OUT]@.\
+     experiments:%a@."
+    Fmt.(list ~sep:nop (any " " ++ string))
+    (List.map fst all_experiments);
+  exit 1
+
+(* Remove "[flag] N" from [args], storing N (at least [min]) in [r]. *)
+let rec take_int flag ~min r = function
+  | f :: tl when String.equal f flag -> (
+      match Option.bind (List.nth_opt tl 0) int_of_string_opt with
+      | Some k when k >= min ->
+          r := k;
+          take_int flag ~min r (List.tl tl)
+      | Some _ | None ->
+          Fmt.epr "%s expects an integer >= %d@." flag min;
+          usage ())
+  | a :: tl -> a :: take_int flag ~min r tl
+  | [] -> []
+
 let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  (* consume "--jobs N" before the experiment-name scan so the count is
-     not mistaken for an experiment *)
   let jobs = ref (Domain.recommended_domain_count ()) in
-  let rec strip_jobs = function
-    | "--jobs" :: n :: tl -> (
-        match int_of_string_opt n with
-        | Some j when j >= 1 ->
-            jobs := j;
-            strip_jobs tl
-        | Some _ | None ->
-            Fmt.epr "--jobs expects a positive integer@.";
-            exit 1)
-    | [ "--jobs" ] ->
-        Fmt.epr "--jobs expects a positive integer@.";
-        exit 1
-    | a :: tl -> a :: strip_jobs tl
-    | [] -> []
-  in
-  let args = strip_jobs args in
-  Pool.set_default_jobs !jobs;
-  (* "--check-eval N" follows the same pattern: SA debug cross-check *)
   let check_eval = ref 0 in
-  let rec strip_check_eval = function
-    | "--check-eval" :: n :: tl -> (
-        match int_of_string_opt n with
-        | Some k when k >= 0 ->
-            check_eval := k;
-            strip_check_eval tl
-        | Some _ | None ->
-            Fmt.epr "--check-eval expects a non-negative integer@.";
-            exit 1)
-    | [ "--check-eval" ] ->
-        Fmt.epr "--check-eval expects a non-negative integer@.";
-        exit 1
-    | a :: tl -> a :: strip_check_eval tl
-    | [] -> []
+  (* consume the integer flags before the word scan so their values are
+     not mistaken for experiment names *)
+  let args =
+    Array.to_list Sys.argv |> List.tl
+    |> take_int "--jobs" ~min:1 jobs
+    |> take_int "--check-eval" ~min:0 check_eval
   in
-  let args = strip_check_eval args in
-  let quick = List.mem "--quick" args in
-  let micro_mode = List.mem "--micro" args in
-  let wanted =
-    List.filter (fun a -> not (String.length a > 1 && a.[0] = '-')) args
+  Pool.set_default_jobs !jobs;
+  let flags, words =
+    List.partition (fun a -> String.length a > 1 && a.[0] = '-') args
   in
-  if micro_mode then micro ()
-  else begin
-    let cfg =
-      if quick then Experiments.Run.quick_cfg else Experiments.Run.default_cfg
-    in
-    let cfg = { cfg with Experiments.Run.check_eval = !check_eval } in
-    let to_run =
-      if wanted = [] then all_experiments
-      else List.filter (fun (name, _) -> List.mem name wanted) all_experiments
-    in
-    if to_run = [] then begin
-      say "unknown experiment; available:@.";
-      List.iter (fun (n, _) -> say "  %s@." n) all_experiments;
-      exit 1
-    end;
-    say "jobs: %d@." !jobs;
-    let t0 = Telemetry.now () in
-    List.iter (fun (_, f) -> f cfg) to_run;
-    say "@.total wall time: %.1f s@." (Telemetry.now () -. t0)
-  end
+  List.iter
+    (fun f ->
+      if not (List.mem f [ "--quick"; "--micro" ]) then begin
+        Fmt.epr "unknown flag %s@." f;
+        usage ()
+      end)
+    flags;
+  let quick = List.mem "--quick" flags in
+  let micro_mode = List.mem "--micro" flags in
+  (* a JSON benchmark takes no flag but --jobs *)
+  let json_bench run =
+    if quick || micro_mode || !check_eval <> 0 then usage () else run ()
+  in
+  let out name = function
+    | [] -> "BENCH_" ^ name ^ ".json"
+    | [ o ] -> o
+    | _ -> usage ()
+  in
+  match words with
+  | "sa-eval" :: rest ->
+      let moves, rest =
+        match rest with
+        | [] -> (200_000, [])
+        | m :: tl -> (
+            match int_of_string_opt m with
+            | Some k when k >= 1 -> (k, tl)
+            | Some _ | None ->
+                Fmt.epr "sa-eval: MOVES must be a positive integer@.";
+                usage ())
+      in
+      let out = out "sa_eval" rest in
+      json_bench (fun () -> Json_benches.sa_eval ~moves ~out)
+  | "templates" :: rest ->
+      let out = out "templates" rest in
+      json_bench (fun () -> Json_benches.templates ~out)
+  | "matheuristic" :: rest ->
+      let out = out "matheuristic" rest in
+      json_bench (fun () -> Json_benches.matheuristic ~out)
+  | [] when micro_mode -> micro ()
+  | _ when micro_mode -> usage ()
+  | wanted ->
+      let cfg =
+        if quick then Experiments.Run.quick_cfg
+        else Experiments.Run.default_cfg
+      in
+      let cfg = { cfg with Experiments.Run.check_eval = !check_eval } in
+      let to_run =
+        if wanted = [] then all_experiments
+        else
+          List.filter (fun (name, _) -> List.mem name wanted) all_experiments
+      in
+      List.iter
+        (fun w ->
+          if not (List.mem_assoc w all_experiments) then begin
+            Fmt.epr "unknown experiment %s@." w;
+            usage ()
+          end)
+        wanted;
+      say "jobs: %d@." !jobs;
+      let t0 = Telemetry.now () in
+      List.iter (fun (_, f) -> f cfg) to_run;
+      say "@.total wall time: %.1f s@." (Telemetry.now () -. t0)

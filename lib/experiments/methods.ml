@@ -127,12 +127,18 @@ let gnn_setup ?quick c =
    limit" framing: large enough to be well converged. *)
 let sa_default_moves = 4_000_000
 
+(* The bench comparisons scale SA's budget with the problem: 40k moves
+   per island, capped at the paper budget. *)
+let sa_island_moves ~islands = min sa_default_moves (40_000 * islands)
+
 (* The template-composition placer runs the SA schedule over a move
    set that already knows good island packings, so it converges on a
-   fraction of the SA budget; the default is an eighth. The
+   fraction of the SA budget: an eighth, at least 5,000 moves. The
    matheuristic gets the same discount: its exact window phase does
    the fine ordering work the tail of the SA schedule would. *)
-let template_default_moves = sa_default_moves / 8
+let discounted_moves sa_moves = max 5_000 (sa_moves / 8)
+
+let template_default_moves = discounted_moves sa_default_moves
 
 (* Candidate selection for the performance-driven analytical methods.
 
@@ -410,164 +416,129 @@ let spec_to_json (s : spec) : Jsonio.t =
 (* Strict field-by-field decoding: [kind] is required, every other
    field defaults from [default_spec ~perf kind], and unknown fields
    are rejected — a misspelled knob in a service request must fail
-   loudly, not silently run with defaults. *)
+   loudly, not silently run with defaults. The error strings reach
+   service clients verbatim. *)
+
+let ( let* ) = Result.bind
+
+let check_known ~scope known fields =
+  match List.find_opt (fun (k, _) -> not (List.mem k known)) fields with
+  | Some (k, _) -> Error (Printf.sprintf "unknown %s field %S" scope k)
+  | None -> Ok ()
+
+(* Optional typed fields; [scope] prefixes the error ("field" for the
+   spec itself, "params field" inside the params block). *)
+let field conv expected ~scope name j =
+  match Jsonio.member name j with
+  | None -> Ok None
+  | Some v -> (
+      match conv v with
+      | Some x -> Ok (Some x)
+      | None -> Error (Printf.sprintf "%s %S: expected %s" scope name expected))
+
+let str_field = field Jsonio.to_str "a string"
+let int_field = field Jsonio.to_int "an integer"
+let float_field = field Jsonio.to_float "a number"
+let bool_field = field Jsonio.to_bool "a boolean"
+
 (* The "params" block is itself strict and versioned: unknown
    subfields are rejected like unknown top-level fields, and a "v"
    other than [params_version] is refused so a future incompatible
    layout can be introduced without silently misreading old ones. *)
 let mh_params_of_json (j : Jsonio.t) : (family_params, string) result =
-  let known = [ "cycles"; "node_budget"; "v"; "walk_neg"; "window" ] in
   match j with
-  | Jsonio.Obj fields -> (
-      let unknown =
-        List.filter (fun (k, _) -> not (List.mem k known)) fields
+  | Jsonio.Obj fields ->
+      let scope = "params field" in
+      let* () =
+        check_known ~scope:"params"
+          [ "cycles"; "node_budget"; "v"; "walk_neg"; "window" ] fields
       in
-      match unknown with
-      | (k, _) :: _ -> Error (Printf.sprintf "unknown params field %S" k)
-      | [] -> (
-          let int_field name =
-            match Jsonio.member name j with
-            | None -> Ok None
-            | Some v -> (
-                match Jsonio.to_int v with
-                | Some i -> Ok (Some i)
-                | None ->
-                    Error
-                      (Printf.sprintf "params field %S: expected an integer"
-                         name))
-          in
-          let ( let* ) = Result.bind in
-          let* v = int_field "v" in
-          match v with
-          | Some v when v <> params_version ->
-              Error
-                (Printf.sprintf
-                   "params field \"v\": unsupported version %d (this build \
-                    speaks %d)"
-                   v params_version)
-          | _ ->
-              let* window = int_field "window" in
-              let* node_budget = int_field "node_budget" in
-              let* cycles = int_field "cycles" in
-              let* walk_neg =
-                match Jsonio.member "walk_neg" j with
-                | None -> Ok None
-                | Some v -> (
-                    match Jsonio.to_bool v with
-                    | Some b -> Ok (Some b)
-                    | None ->
-                        Error "params field \"walk_neg\": expected a boolean")
-              in
-              let d = default_mh_params in
-              let v d' o = Option.value o ~default:d' in
-              Ok
-                (Mh_params
-                   {
-                     mh_window = v d.mh_window window;
-                     mh_node_budget = v d.mh_node_budget node_budget;
-                     mh_cycles = v d.mh_cycles cycles;
-                     mh_walk_neg = v d.mh_walk_neg walk_neg;
-                   })))
+      let* v = int_field ~scope "v" j in
+      let* () =
+        match v with
+        | Some v when v <> params_version ->
+            Error
+              (Printf.sprintf
+                 "params field \"v\": unsupported version %d (this build \
+                  speaks %d)"
+                 v params_version)
+        | _ -> Ok ()
+      in
+      let* window = int_field ~scope "window" j in
+      let* node_budget = int_field ~scope "node_budget" j in
+      let* cycles = int_field ~scope "cycles" j in
+      let* walk_neg = bool_field ~scope "walk_neg" j in
+      let d = default_mh_params in
+      let v d' o = Option.value o ~default:d' in
+      Ok
+        (Mh_params
+           {
+             mh_window = v d.mh_window window;
+             mh_node_budget = v d.mh_node_budget node_budget;
+             mh_cycles = v d.mh_cycles cycles;
+             mh_walk_neg = v d.mh_walk_neg walk_neg;
+           })
   | _ -> Error "spec field \"params\": expected an object"
 
 let spec_of_json (j : Jsonio.t) : (spec, string) result =
-  let known =
-    [ "alpha"; "area_weight"; "check_every"; "kind"; "moves"; "params";
-      "perf"; "quick"; "restarts"; "seed"; "wl_weight" ]
-  in
   match j with
-  | Jsonio.Obj fields -> (
-      let unknown =
-        List.filter (fun (k, _) -> not (List.mem k known)) fields
+  | Jsonio.Obj fields ->
+      let scope = "field" in
+      let* () =
+        check_known ~scope:"spec"
+          [ "alpha"; "area_weight"; "check_every"; "kind"; "moves"; "params";
+            "perf"; "quick"; "restarts"; "seed"; "wl_weight" ]
+          fields
       in
-      match unknown with
-      | (k, _) :: _ -> Error (Printf.sprintf "unknown spec field %S" k)
-      | [] -> (
-          let str_field name =
-            match Jsonio.member name j with
-            | None -> Ok None
-            | Some v -> (
-                match Jsonio.to_str v with
-                | Some s -> Ok (Some s)
-                | None -> Error (Printf.sprintf "field %S: expected a string" name))
-          in
-          let int_field name =
-            match Jsonio.member name j with
-            | None -> Ok None
-            | Some v -> (
-                match Jsonio.to_int v with
-                | Some i -> Ok (Some i)
-                | None ->
-                    Error (Printf.sprintf "field %S: expected an integer" name))
-          in
-          let float_field name =
-            match Jsonio.member name j with
-            | None -> Ok None
-            | Some v -> (
-                match Jsonio.to_float v with
-                | Some f -> Ok (Some f)
-                | None -> Error (Printf.sprintf "field %S: expected a number" name))
-          in
-          let bool_field name =
-            match Jsonio.member name j with
-            | None -> Ok None
-            | Some v -> (
-                match Jsonio.to_bool v with
-                | Some b -> Ok (Some b)
-                | None ->
-                    Error (Printf.sprintf "field %S: expected a boolean" name))
-          in
-          let ( let* ) = Result.bind in
-          let* kind_s = str_field "kind" in
-          let* kind =
-            match kind_s with
-            | None -> Error "missing required spec field \"kind\""
-            | Some s -> (
-                match of_string s with
-                | Some k -> Ok k
-                | None ->
-                    Error
-                      (Printf.sprintf
-                         "field \"kind\": unknown method %S (expected sa, \
-                          prev, eplace, template or matheuristic)" s))
-          in
-          let* perf = bool_field "perf" in
-          let perf = Option.value perf ~default:false in
-          let d = default_spec ~perf kind in
-          let* moves = int_field "moves" in
-          let* seed = int_field "seed" in
-          let* restarts = int_field "restarts" in
-          let* alpha = float_field "alpha" in
-          let* wl_weight = float_field "wl_weight" in
-          let* area_weight = float_field "area_weight" in
-          let* check_every = int_field "check_every" in
-          let* quick = bool_field "quick" in
-          let* params =
-            match Jsonio.member "params" j with
-            | None -> Ok d.params
-            | Some pj -> (
-                match kind with
-                | Matheuristic -> mh_params_of_json pj
-                | Sa | Prev | Eplace | Template ->
-                    Error
-                      (Printf.sprintf
-                         "field \"params\": the %s family takes no params \
-                          block"
-                         (to_string kind)))
-          in
-          let v d' o = Option.value o ~default:d' in
-          Ok
-            { kind; perf;
-              moves = v d.moves moves;
-              seed = v d.seed seed;
-              restarts = v d.restarts restarts;
-              alpha = v d.alpha alpha;
-              wl_weight = v d.wl_weight wl_weight;
-              area_weight = v d.area_weight area_weight;
-              check_every = v d.check_every check_every;
-              quick = v d.quick quick;
-              params;
-            }))
+      let* kind_s = str_field ~scope "kind" j in
+      let* kind =
+        match kind_s with
+        | None -> Error "missing required spec field \"kind\""
+        | Some s -> (
+            match of_string s with
+            | Some k -> Ok k
+            | None ->
+                Error
+                  (Printf.sprintf
+                     "field \"kind\": unknown method %S (expected sa, \
+                      prev, eplace, template or matheuristic)" s))
+      in
+      let* perf = bool_field ~scope "perf" j in
+      let perf = Option.value perf ~default:false in
+      let d = default_spec ~perf kind in
+      let* moves = int_field ~scope "moves" j in
+      let* seed = int_field ~scope "seed" j in
+      let* restarts = int_field ~scope "restarts" j in
+      let* alpha = float_field ~scope "alpha" j in
+      let* wl_weight = float_field ~scope "wl_weight" j in
+      let* area_weight = float_field ~scope "area_weight" j in
+      let* check_every = int_field ~scope "check_every" j in
+      let* quick = bool_field ~scope "quick" j in
+      let* params =
+        match Jsonio.member "params" j with
+        | None -> Ok d.params
+        | Some pj -> (
+            match kind with
+            | Matheuristic -> mh_params_of_json pj
+            | Sa | Prev | Eplace | Template ->
+                Error
+                  (Printf.sprintf
+                     "field \"params\": the %s family takes no params block"
+                     (to_string kind)))
+      in
+      let v d' o = Option.value o ~default:d' in
+      Ok
+        { kind; perf;
+          moves = v d.moves moves;
+          seed = v d.seed seed;
+          restarts = v d.restarts restarts;
+          alpha = v d.alpha alpha;
+          wl_weight = v d.wl_weight wl_weight;
+          area_weight = v d.area_weight area_weight;
+          check_every = v d.check_every check_every;
+          quick = v d.quick quick;
+          params;
+        }
   | _ -> Error "spec must be a JSON object"
 
 let spec_canonical s = Jsonio.to_string (Jsonio.sorted (spec_to_json s))

@@ -64,10 +64,18 @@ type t = private {
 
 val sa_default_moves : int
 
+val sa_island_moves : islands:int -> int
+(** SA's budget in the bench comparisons: 40k moves per island, capped
+    at {!sa_default_moves}. *)
+
+val discounted_moves : int -> int
+(** The template and matheuristic budget for a given SA budget: an
+    eighth of it, at least 5,000 moves — composition starts from
+    known-good island packings and converges far sooner. *)
+
 val template_default_moves : int
-(** The [Template] method's default budget: an eighth of
-    {!sa_default_moves} — composition starts from known-good island
-    packings and converges far sooner. *)
+(** [discounted_moves sa_default_moves]: the [Template] and
+    [Matheuristic] methods' default budget. *)
 
 (** {2 The serializable job spec}
 

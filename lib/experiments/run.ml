@@ -58,10 +58,10 @@ let spec_of_kind cfg ?(perf = false) (k : Methods.kind) =
         check_every = cfg.check_eval;
         quick = cfg.quick }
   | Methods.Template | Methods.Matheuristic ->
-      (* an eighth of the SA budget, mirroring the default ratio *)
       { s with
         Methods.moves =
-          (if perf then cfg.sa_perf_moves else max 5_000 (cfg.sa_moves / 8));
+          (if perf then cfg.sa_perf_moves
+           else Methods.discounted_moves cfg.sa_moves);
         alpha = cfg.sa_alpha;
         check_every = cfg.check_eval;
         quick = cfg.quick }
@@ -72,6 +72,15 @@ let spec_of_kind cfg ?(perf = false) (k : Methods.kind) =
         quick = cfg.quick }
 
 let method_of_kind cfg ?perf k = Methods.of_spec (spec_of_kind cfg ?perf k)
+
+(* ePlace-A straight from an engine parameter record: (area, HPWL,
+   runtime), or nans when it produced no layout. *)
+let eplace_run params c =
+  match Eplace.Eplace_a.place ~params c with
+  | Some r ->
+      let a, w = area_hpwl r.Eplace.Eplace_a.layout in
+      (a, w, r.Eplace.Eplace_a.runtime_s)
+  | None -> (nan, nan, nan)
 
 (* ---------- Table I: soft vs hard symmetry in GP ---------- *)
 
@@ -85,11 +94,7 @@ let table1 cfg =
         Eplace.Eplace_a.gp =
           { params.Eplace.Eplace_a.gp with Eplace.Gp_params.sym_mode = mode } }
     in
-    match Eplace.Eplace_a.place ~params c with
-    | Some r ->
-        let a, w = area_hpwl r.Eplace.Eplace_a.layout in
-        (a, w, r.Eplace.Eplace_a.runtime_s)
-    | None -> (nan, nan, nan)
+    eplace_run params c
   in
   let rows =
     List.map
@@ -121,9 +126,8 @@ let fig2 cfg =
         Eplace.Eplace_a.restarts = 1;
         gp = { Eplace.Gp_params.default with Eplace.Gp_params.eta; seed } }
     in
-    match Eplace.Eplace_a.place ~params c with
-    | Some r -> area_hpwl r.Eplace.Eplace_a.layout
-    | None -> (nan, nan)
+    let a, w, _ = eplace_run params c in
+    (a, w)
   in
   let avg_eta name eta =
     let pts = List.map (run_eta name eta) seeds in
@@ -243,9 +247,12 @@ let phase_table method_names (results : method_row list list) =
   in
   { TF.header; rows }
 
-let table3 cfg =
+(* Tables III and VII: every family on the table circuits, conventional
+   or performance-driven, with geometric-mean ratios against ePlace-A(P)
+   and the per-phase runtime breakdown of the same runs. *)
+let comparison cfg ~perf labels =
   let circuits = table_circuits cfg in
-  let methods = List.map (method_of_kind cfg) Methods.all in
+  let methods = List.map (method_of_kind cfg ~perf) Methods.all in
   let results = List.map (fun m -> run_method m circuits) methods in
   let rows =
     List.mapi
@@ -259,28 +266,28 @@ let table3 cfg =
       circuits
   in
   let ref_rows = List.nth results 2 in
+  let ratio f rows =
+    TF.f2
+      (TF.geo_mean_ratio (List.map2 (fun r r0 -> (f r, f r0)) rows ref_rows))
+  in
   let avg =
     "Avg.(X)"
     :: List.concat_map
          (fun rows ->
-           [ TF.f2 (TF.geo_mean_ratio
-                      (List.map2 (fun r r0 -> (r.area, r0.area)) rows ref_rows));
-             TF.f2 (TF.geo_mean_ratio
-                      (List.map2 (fun r r0 -> (r.hpwl, r0.hpwl)) rows ref_rows));
-             TF.f2 (TF.geo_mean_ratio
-                      (List.map2
-                         (fun r r0 -> (r.runtime, r0.runtime))
-                         rows ref_rows)) ])
+           [ ratio (fun r -> r.area) rows; ratio (fun r -> r.hpwl) rows;
+             ratio (fun r -> r.runtime) rows ])
          results
   in
   ( {
       TF.header =
-        [ "Design"; "SA a"; "SA w"; "SA t"; "P11 a"; "P11 w"; "P11 t";
-          "eP a"; "eP w"; "eP t"; "Tmpl a"; "Tmpl w"; "Tmpl t";
-          "Math a"; "Math w"; "Math t" ];
+        "Design"
+        :: List.concat_map (fun l -> [ l ^ " a"; l ^ " w"; l ^ " t" ]) labels;
       rows = rows @ [ avg ];
     },
-    results )
+    phase_table labels results )
+
+let table3 cfg =
+  comparison cfg ~perf:false [ "SA"; "P11"; "eP"; "Tmpl"; "Math" ]
 
 (* ---------- Table IV: detailed placement only, same GP ---------- *)
 
@@ -384,43 +391,7 @@ let table6 cfg =
 (* ---------- Table VII: perf-driven area/HPWL/runtime ---------- *)
 
 let table7 cfg =
-  let circuits = table_circuits cfg in
-  let methods = List.map (method_of_kind cfg ~perf:true) Methods.all in
-  let results = List.map (fun m -> run_method m circuits) methods in
-  let rows =
-    List.mapi
-      (fun i design ->
-        design
-        :: List.concat_map
-             (fun rows ->
-               let r = List.nth rows i in
-               [ TF.f1 r.area; TF.f1 r.hpwl; TF.f2 r.runtime ])
-             results)
-      circuits
-  in
-  let ref_rows = List.nth results 2 in
-  let avg =
-    "Avg.(X)"
-    :: List.concat_map
-         (fun rows ->
-           [ TF.f2 (TF.geo_mean_ratio
-                      (List.map2 (fun r r0 -> (r.area, r0.area)) rows ref_rows));
-             TF.f2 (TF.geo_mean_ratio
-                      (List.map2 (fun r r0 -> (r.hpwl, r0.hpwl)) rows ref_rows));
-             TF.f2 (TF.geo_mean_ratio
-                      (List.map2
-                         (fun r r0 -> (r.runtime, r0.runtime))
-                         rows ref_rows)) ])
-         results
-  in
-  ( {
-      TF.header =
-        [ "Design"; "SAp a"; "SAp w"; "SAp t"; "P11p a"; "P11p w"; "P11p t";
-          "ePAP a"; "ePAP w"; "ePAP t"; "Tmplp a"; "Tmplp w"; "Tmplp t";
-          "Mathp a"; "Mathp w"; "Mathp t" ];
-      rows = rows @ [ avg ];
-    },
-    results )
+  comparison cfg ~perf:true [ "SAp"; "P11p"; "ePAP"; "Tmplp"; "Mathp" ]
 
 (* ---------- Fig. 5: HPWL-area tradeoff on CM-OTA1 ---------- *)
 
@@ -445,11 +416,8 @@ let fig5 cfg =
                 { params.Eplace.Eplace_a.gp with Eplace.Gp_params.eta };
               dp = { params.Eplace.Eplace_a.dp with Eplace.Dp_ilp.mu } }
           in
-          match Eplace.Eplace_a.place ~params c with
-          | Some r ->
-              let a, w = area_hpwl r.Eplace.Eplace_a.layout in
-              push "ePlace-A" a w
-          | None -> ())
+          let a, w, _ = eplace_run params c in
+          if not (Float.is_nan a) then push "ePlace-A" a w)
         mus)
     etas;
   (* SA: sweep the cost weights *)
@@ -503,62 +471,34 @@ let fig5 cfg =
 (* ---------- Fig. 6: FOM-area tradeoff on CM-OTA1 ---------- *)
 
 let fig6 cfg =
-  let name = "CM-OTA1" in
-  let c = Circuits.Testcases.get_exn name in
-  let points = ref [] in
-  let push m a f = points := { p_method = m; p_x = a; p_y = f } :: !points in
+  let c = Circuits.Testcases.get_exn "CM-OTA1" in
   let alphas = if cfg.quick then [ 0.0; 60.0 ] else [ 0.0; 15.0; 60.0; 150.0; 400.0 ] in
-  List.iter
-    (fun alpha ->
-      let m =
-        if Float.equal alpha 0.0 then method_of_kind cfg Methods.Eplace
-        else
-          Methods.of_spec
-            { (spec_of_kind cfg ~perf:true Methods.Eplace) with
-              Methods.alpha }
-      in
-      match m.Methods.run c with
-      | Some o ->
-          push "ePlace-AP"
-            (Netlist.Layout.area o.Methods.layout)
-            (Perfsim.Fom.fom o.Methods.layout)
-      | None -> ())
-    alphas;
-  List.iter
-    (fun alpha ->
-      let m =
-        if Float.equal alpha 0.0 then method_of_kind cfg Methods.Prev
-        else
-          Methods.of_spec
-            { (spec_of_kind cfg ~perf:true Methods.Prev) with Methods.alpha }
-      in
-      match m.Methods.run c with
-      | Some o ->
-          push "Prev-perf*"
-            (Netlist.Layout.area o.Methods.layout)
-            (Perfsim.Fom.fom o.Methods.layout)
-      | None -> ())
-    alphas;
   let sa_alphas = if cfg.quick then [ 0.0; 2.0 ] else [ 0.0; 0.5; 2.0; 5.0; 10.0 ] in
-  List.iter
-    (fun alpha ->
-      let m =
-        if Float.equal alpha 0.0 then
-          Methods.of_spec
-            { (spec_of_kind cfg Methods.Sa) with Methods.check_every = 0 }
-        else
-          Methods.of_spec
-            { (spec_of_kind cfg ~perf:true Methods.Sa) with
-              Methods.alpha; check_every = 0 }
-      in
-      match m.Methods.run c with
-      | Some o ->
-          push "SA-perf"
-            (Netlist.Layout.area o.Methods.layout)
-            (Perfsim.Fom.fom o.Methods.layout)
-      | None -> ())
-    sa_alphas;
-  let pts = List.rev !points in
+  (* alpha 0 is the conventional method; the SA debug cross-check is off
+     throughout *)
+  let spec k alpha =
+    let perf = not (Float.equal alpha 0.0) in
+    let s = spec_of_kind cfg ~perf k in
+    { s with
+      Methods.alpha = (if perf then alpha else s.Methods.alpha);
+      check_every = 0 }
+  in
+  let pts =
+    List.concat_map
+      (fun (label, k, alphas) ->
+        List.filter_map
+          (fun alpha ->
+            Option.map
+              (fun (o : Methods.outcome) ->
+                { p_method = label;
+                  p_x = Netlist.Layout.area o.Methods.layout;
+                  p_y = Perfsim.Fom.fom o.Methods.layout })
+              ((Methods.of_spec (spec k alpha)).Methods.run c))
+          alphas)
+      [ ("ePlace-AP", Methods.Eplace, alphas);
+        ("Prev-perf*", Methods.Prev, alphas);
+        ("SA-perf", Methods.Sa, sa_alphas) ]
+  in
   ( {
       TF.header = [ "Method"; "Area(um2)"; "FOM" ];
       rows = List.map (fun p -> [ p.p_method; TF.f1 p.p_x; TF.f3 p.p_y ]) pts;
@@ -572,14 +512,7 @@ let ablations cfg =
     if cfg.quick then [ "CC-OTA" ] else [ "CC-OTA"; "Comp2"; "VCO2" ]
   in
   let base = eplace_params cfg in
-  let run name (params : Eplace.Eplace_a.params) =
-    let c = Circuits.Testcases.get_exn name in
-    match Eplace.Eplace_a.place ~params c with
-    | Some r ->
-        let a, w = area_hpwl r.Eplace.Eplace_a.layout in
-        (a, w, r.Eplace.Eplace_a.runtime_s)
-    | None -> (nan, nan, nan)
-  in
+  let run name params = eplace_run params (Circuits.Testcases.get_exn name) in
   let variants =
     [
       ("baseline (WA,round,5x)", base);

@@ -49,18 +49,16 @@ val spec_of_kind : cfg -> ?perf:bool -> Methods.kind -> Methods.spec
     same serializable value the CLI and the placement service build
     runs from. *)
 
-val phase_table : string list -> method_row list list -> Table_fmt.t
-(** Per-method GP/DP/GNN runtime columns for the given results (as
-    returned by {!table3} or {!table7}). *)
-
 val table1 : cfg -> Table_fmt.t
 (** Soft vs hard symmetry constraints in global placement. *)
 
 val fig2 : cfg -> Table_fmt.t
 (** Area-term ablation (with vs without eta Area(v)). *)
 
-val table3 : cfg -> Table_fmt.t * method_row list list
-(** Main conventional comparison: SA vs prior work [11] vs ePlace-A. *)
+val table3 : cfg -> Table_fmt.t * Table_fmt.t
+(** Main conventional comparison: SA vs prior work [11] vs ePlace-A
+    (and the template and matheuristic families), then the per-method
+    GP/DP/GNN runtime breakdown of the same runs. *)
 
 val table4 : cfg -> Table_fmt.t
 (** Detailed placement only, from the same GP solutions. *)
@@ -71,8 +69,9 @@ val table5 : cfg -> Table_fmt.t * (string * float list) list
 val table6 : cfg -> Table_fmt.t
 (** CC-OTA detailed metrics, ePlace-A vs ePlace-AP. *)
 
-val table7 : cfg -> Table_fmt.t * method_row list list
-(** Area/HPWL/runtime for the performance-driven methods. *)
+val table7 : cfg -> Table_fmt.t * Table_fmt.t
+(** Area/HPWL/runtime for the performance-driven methods, then their
+    runtime breakdown as in {!table3}. *)
 
 type point = { p_method : string; p_x : float; p_y : float }
 

@@ -30,15 +30,14 @@ let f2 v = Fmt.str "%.2f" v
 let f3 v = Fmt.str "%.3f" v
 
 (* Geometric-mean ratios of each method's column against a reference
-   column, matching the paper's "Avg. (X)" rows. *)
+   column, matching the paper's "Avg. (X)" rows. Pairs with a failed
+   (nan or non-positive) side are left out of the mean. *)
 let geo_mean_ratio pairs =
-  match pairs with
-  | [] -> 1.0
-  | _ ->
-      let s =
-        List.fold_left
-          (fun acc (v, ref_v) ->
-            if ref_v > 0.0 && v > 0.0 then acc +. log (v /. ref_v) else acc)
-          0.0 pairs
-      in
-      exp (s /. float_of_int (List.length pairs))
+  let s, n =
+    List.fold_left
+      (fun (s, n) (v, ref_v) ->
+        if ref_v > 0.0 && v > 0.0 then (s +. log (v /. ref_v), n + 1)
+        else (s, n))
+      (0.0, 0) pairs
+  in
+  if n = 0 then 1.0 else exp (s /. float_of_int n)

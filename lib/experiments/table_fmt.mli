@@ -8,4 +8,5 @@ val f2 : float -> string
 val f3 : float -> string
 
 val geo_mean_ratio : (float * float) list -> float
-(** Geometric mean of v/ref pairs — the paper's "Avg. (X)" rows. *)
+(** Geometric mean of v/ref pairs — the paper's "Avg. (X)" rows. Pairs
+    with a nan or non-positive side do not count; 1.0 when none does. *)

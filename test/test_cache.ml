@@ -147,7 +147,9 @@ let spec_tests =
       (fun () ->
         (match M.spec_of_string {|{"kind":"sa","movez":1}|} with
          | Ok _ -> Alcotest.fail "unknown field accepted"
-         | Error _ -> ());
+         | Error e ->
+             (* the daemon returns this string to clients verbatim *)
+             Alcotest.(check string) "message" {|unknown spec field "movez"|} e);
         (match M.spec_of_string {|{"kind":"tabu"}|} with
          | Ok _ -> Alcotest.fail "unknown kind accepted"
          | Error _ -> ());

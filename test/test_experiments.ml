@@ -15,6 +15,9 @@ let fmt_tests =
           (TF.geo_mean_ratio [ (2.0, 1.0); (8.0, 4.0) ]));
     Alcotest.test_case "geo_mean_ratio empty is 1" `Quick (fun () ->
         Alcotest.(check (float 1e-9)) "one" 1.0 (TF.geo_mean_ratio []));
+    Alcotest.test_case "geo_mean_ratio skips a failed pair" `Quick (fun () ->
+        Alcotest.(check (float 1e-9)) "two" 2.0
+          (TF.geo_mean_ratio [ (2.0, 1.0); (nan, 1.0) ]));
     Alcotest.test_case "render handles ragged rows" `Quick (fun () ->
         let t =
           { TF.header = [ "a"; "b" ]; rows = [ [ "1" ]; [ "22"; "333"; "4" ] ] }

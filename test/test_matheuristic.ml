@@ -350,7 +350,15 @@ let spec_tests =
         expect_error {|{"kind":"matheuristic","params":{"windw":4}}|};
         expect_error {|{"kind":"matheuristic","params":{"v":2}}|};
         expect_error {|{"kind":"sa","params":{"window":4}}|};
-        expect_error {|{"kind":"matheuristic","params":3}|});
+        expect_error {|{"kind":"matheuristic","params":3}|};
+        match
+          M.spec_of_string {|{"kind":"matheuristic","params":{"window":"4"}}|}
+        with
+        | Ok _ -> Alcotest.fail "string window accepted"
+        | Error e ->
+            (* the daemon returns this string to clients verbatim *)
+            Alcotest.(check string) "message"
+              {|params field "window": expected an integer|} e);
     Alcotest.test_case "non-matheuristic hashes carry no params field" `Quick
       (fun () ->
         let contains hay needle =
