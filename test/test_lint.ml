@@ -133,6 +133,27 @@ let tests =
         check_count "two allocations" "fix_a1.ml" Lint.A1 2;
         Alcotest.(check int) "nothing else in the file" 2
           (List.length (List.filter (in_file "fix_a1.ml") (findings ()))));
+    Alcotest.test_case "nested modules, functors, includes and scripts"
+      `Quick (fun () ->
+        (* D4 on Inner.nested_counter and the included array, not on the
+           functor's per-application ref; D1 on both stamps; P1 reached
+           through the alias P.map in the top-level script *)
+        check_count "nested + included state" "fix_scope.ml" Lint.D4 2;
+        check_count "both stamps" "fix_scope.ml" Lint.D1 2;
+        check_count "script task via the alias" "fix_scope.ml" Lint.P1 1;
+        Alcotest.(check int) "nothing else in the file" 5
+          (List.length (List.filter (in_file "fix_scope.ml") (findings ())));
+        let sums = (Lazy.force fixture_scan).Lint.r_summaries in
+        let scope =
+          List.filter
+            (fun (s : Lint.Summaries.summary) ->
+              Filename.basename s.Lint.Summaries.s_file = "fix_scope.ml")
+            (Lint.Summaries.to_list sums)
+        in
+        Alcotest.(check (list string)) "only Inner.stamp is summarized"
+          [ "Lint_fixtures.Fix_scope.Inner.stamp" ]
+          (List.map (fun (s : Lint.Summaries.summary) -> s.Lint.Summaries.s_name)
+             scope));
     Alcotest.test_case "sound caches and exempt refs stay quiet" `Quick
       (fun () -> check_quiet "fix_cache_clean.ml");
     Alcotest.test_case "SCC fixpoint pins recursive effect summaries" `Quick
