@@ -20,7 +20,17 @@ let usage =
    obligation-forwarding chain down to the unguarded primitive).\n\
    --list-allows prints every reasoned suppression as\n\
    file:line [RULE] reason, for a one-pass audit of the allow budget.\n\
-   Exit status: 0 clean, 1 when findings survive, 2 usage error."
+   --dump-summaries, --explain and --list-allows exclude each other.\n\
+   Exit status: 0 clean, 1 when findings survive, 2 usage error\n\
+   (including a PATH that does not exist and a scan that finds no\n\
+   compiled unit: point PATH at the build tree, e.g. _build/default/lib)."
+
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("lint_cli: " ^ msg);
+      exit 2)
+    fmt
 
 let () =
   let root = ref "." in
@@ -64,7 +74,22 @@ let () =
     prerr_endline usage;
     exit 2
   end;
+  List.iter
+    (fun p -> if not (Sys.file_exists p) then usage_error "no such PATH: %s" p)
+    paths;
+  if
+    List.length
+      (List.filter Fun.id [ !dump_summaries; !list_allows; !explain <> "" ])
+    > 1
+  then
+    usage_error
+      "--dump-summaries, --list-allows and --explain are mutually exclusive";
   let report = Lint.analyze ~excludes:(List.rev !excludes) ~root:!root paths in
+  if report.Lint.r_units = 0 then
+    usage_error
+      "no compiled unit (.cmt/.cmti) under %s; scan the build tree, e.g. \
+       _build/default/lib"
+      (String.concat " " paths);
   let output s =
     if !out = "" then print_string s
     else Out_channel.with_open_text !out (fun oc -> output_string oc s)
@@ -91,9 +116,7 @@ let () =
     let rule =
       match Lint.rule_of_string !explain with
       | Some r -> r
-      | None ->
-          Printf.eprintf "lint_cli: --explain: unknown rule '%s'\n" !explain;
-          exit 2
+      | None -> usage_error "--explain: unknown rule '%s'" !explain
     in
     let findings =
       List.filter (fun f -> f.Lint.rule = rule) report.Lint.r_findings
