@@ -27,11 +27,11 @@
     allocation inside functions marked [[@@placer_lint.hot]] (the SA
     propose/commit path, the matheuristic window re-pricing).
 
-    A fourth, numeric-stability pass ({!Numeric}) re-walks the numeric
-    core ([lib/numerics], [lib/density], [lib/wirelength], [lib/gnn],
-    [lib/annealing], [lib/matheuristic], plus any function marked
-    [[@@placer_lint.numeric]]) carrying a small interval/sign lattice
-    per syntactic path: N1 exact float equality as a loop-exit or
+    A fourth, numeric-stability pass ({!Numeric}) walks each function
+    of the numeric core ([lib/numerics], [lib/density],
+    [lib/wirelength], [lib/gnn], [lib/annealing], [lib/matheuristic],
+    plus any function marked [[@@placer_lint.numeric]]) carrying a
+    small interval/sign lattice per syntactic path: N1 exact float equality as a loop-exit or
     recursive-termination test; N2 [/.], [sqrt], [log] whose operand
     is not dominated by a zero/sign guard — divisors that are bare
     parameters become nonzero-args preconditions on the effect
