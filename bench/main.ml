@@ -135,6 +135,11 @@ let micro () =
   in
   let enc = lazy (Gnn.Graph_enc.of_circuit cc_ota) in
   let model = lazy (Gnn.Model.create (Numerics.Rng.create 1)) in
+  (* the Poisson kernel times the solve alone, on a plan built once *)
+  let spectral = Numerics.Spectral.create ~nx:32 ~ny:32 in
+  let rho =
+    Numerics.Matrix.init 32 32 (fun i j -> float_of_int ((i * 7) + j) /. 100.0)
+  in
   let tests =
     [
       (* Table I kernel: one GP run with soft symmetry *)
@@ -191,12 +196,7 @@ let micro () =
       (* Fig 6 kernel: spectral Poisson solve (per-GP-iteration cost) *)
       Test.make ~name:"fig6:poisson_32x32"
         (Staged.stage (fun () ->
-             let sp = Numerics.Spectral.create ~nx:32 ~ny:32 in
-             let rho =
-               Numerics.Matrix.init 32 32 (fun i j ->
-                   float_of_int ((i * 7) + j) /. 100.0)
-             in
-             ignore (Numerics.Spectral.solve_poisson sp rho)));
+             ignore (Numerics.Spectral.solve_poisson spectral rho)));
     ]
   in
   let benchmark test =

@@ -20,6 +20,7 @@ let cols m = m.cols
 let get m i j = m.data.((i * m.cols) + j)
 let set m i j v = m.data.((i * m.cols) + j) <- v
 let copy m = { m with data = Array.copy m.data }
+let storage m = m.data
 
 let transpose m = init m.cols m.rows (fun i j -> get m j i)
 

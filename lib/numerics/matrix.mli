@@ -1,5 +1,6 @@
-(** Dense row-major matrices, used by the spectral transforms and the
-    neural-network layers. *)
+(** Dense row-major matrices: the grid fields of the density models and
+    the layers of the GNN. The products and [transpose] serve the GNN
+    only; the spectral solver transforms fields in place. *)
 
 type t
 
@@ -12,6 +13,11 @@ val cols : t -> int
 val get : t -> int -> int -> float
 val set : t -> int -> int -> float -> unit
 val copy : t -> t
+
+val storage : t -> float array
+(** The row-major backing array, shared with the matrix (not a copy):
+    entry [(i, j)] is at index [i * cols + j]. *)
+
 val transpose : t -> t
 
 val matvec : t -> float array -> float array -> unit

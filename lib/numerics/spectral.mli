@@ -7,18 +7,17 @@
     evaluated at bin centres. *)
 
 type t
+(** A cached plan: per-axis FFT tables and every buffer of a solve. *)
 
 val create : nx:int -> ny:int -> t
-(** Precompute basis tables for an [nx] x [ny] grid. *)
+(** @raise Invalid_argument unless [nx] and [ny] are powers of two. *)
 
 val analyze : t -> Matrix.t -> Matrix.t
-(** Cosine-series coefficients [a] of a grid function:
+(** Cosine-series coefficients [a] of a grid function (a fresh matrix):
     [rho(i,j) = sum_uv a(u,v) cos(w_u (i+1/2)) cos(w_v (j+1/2))]. *)
 
 type field = { psi : Matrix.t; ex : Matrix.t; ey : Matrix.t }
 
 val solve_poisson : t -> Matrix.t -> field
-
-val dct_ii_direct : float array -> float array
-(** O(n^2) reference DCT-II with the same convention as {!Fft.dct_ii};
-    used to cross-validate the FFT fast path. *)
+(** The returned matrices belong to the plan: they stay valid until the
+    next [solve_poisson] on it. *)
