@@ -58,10 +58,12 @@ let make_terms (p : Gp_params.t) c =
     region;
   }
 
-let rects_of ts ~xs ~ys =
-  Array.init (Array.length xs) (fun i ->
+let fill_rects ts rects ~xs ~ys =
+  for i = 0 to Array.length xs - 1 do
+    rects.(i) <-
       Geometry.Rect.of_center ~cx:xs.(i) ~cy:ys.(i) ~w:ts.widths.(i)
-        ~h:ts.heights.(i))
+        ~h:ts.heights.(i)
+  done
 
 let clamp_into ts ~xs ~ys =
   let r = ts.region in
@@ -101,9 +103,17 @@ let run ?(params = Gp_params.default) ?perf (c : Netlist.Circuit.t) =
     | Gp_params.Hard -> p.Gp_params.tau *. 200.0
   in
   (* scratch buffers reused across evaluations *)
+  let xs = Array.make n 0.0 and ys = Array.make n 0.0 in
+  let gx = Array.make n 0.0 and gy = Array.make n 0.0 in
   let gxw = Array.make n 0.0 and gyw = Array.make n 0.0 in
   let gxd = Array.make n 0.0 and gyd = Array.make n 0.0 in
-  let split v = (Array.sub v 0 n, Array.sub v n n) in
+  let rects = Array.make n ts.region in
+  (* copy v's halves into xs/ys, clamped into the region *)
+  let load v =
+    Array.blit v 0 xs 0 n;
+    Array.blit v n ys 0 n;
+    clamp_into ts ~xs ~ys
+  in
   (* gradient of everything except density, into (gx, gy) *)
   let base_grad ~xs ~ys ~gx ~gy =
     Array.fill gx 0 n 0.0;
@@ -150,7 +160,7 @@ let run ?(params = Gp_params.default) ?perf (c : Netlist.Circuit.t) =
         ignore (pt.phi_grad ~xs ~ys ~gx ~gy)
   in
   let density_grad ~xs ~ys ~gx ~gy =
-    let rects = rects_of ts ~xs ~ys in
+    fill_rects ts rects ~xs ~ys;
     Density.Electrostatic.compute ts.es rects;
     overflow :=
       Density.Electrostatic.overflow ts.es ~target:p.Gp_params.target_density
@@ -163,9 +173,7 @@ let run ?(params = Gp_params.default) ?perf (c : Netlist.Circuit.t) =
   in
   (* lambda0 from force balance at the initial point *)
   let () =
-    let xs, ys = split v0 in
-    clamp_into ts ~xs ~ys;
-    let gx = Array.make n 0.0 and gy = Array.make n 0.0 in
+    load v0;
     base_grad ~xs ~ys ~gx ~gy;
     density_grad ~xs ~ys ~gx:gxd ~gy:gyd;
     let l1 g = Array.fold_left (fun a v -> a +. abs_float v) 0.0 g in
@@ -177,9 +185,7 @@ let run ?(params = Gp_params.default) ?perf (c : Netlist.Circuit.t) =
   in
   let grad v g =
     Telemetry.Counter.incr fevals_counter;
-    let xs = Array.sub v 0 n and ys = Array.sub v n n in
-    clamp_into ts ~xs ~ys;
-    let gx = Array.make n 0.0 and gy = Array.make n 0.0 in
+    load v;
     base_grad ~xs ~ys ~gx ~gy;
     density_grad ~xs ~ys ~gx:gxd ~gy:gyd;
     for i = 0 to n - 1 do
@@ -196,8 +202,7 @@ let run ?(params = Gp_params.default) ?perf (c : Netlist.Circuit.t) =
     incr iters;
     (* clamp the optimizer state into the region *)
     let v = Numerics.Nesterov.x opt in
-    let xs = Array.sub v 0 n and ys = Array.sub v n n in
-    clamp_into ts ~xs ~ys;
+    load v;
     Array.blit xs 0 v 0 n;
     Array.blit ys 0 v n n;
     lambda := !lambda *. p.Gp_params.lambda_growth;
@@ -210,9 +215,7 @@ let run ?(params = Gp_params.default) ?perf (c : Netlist.Circuit.t) =
     if !iters >= p.Gp_params.min_iters && !overflow < p.Gp_params.overflow_stop
     then continue_ := false
   done;
-  let v = Numerics.Nesterov.x opt in
-  let xs = Array.sub v 0 n and ys = Array.sub v n n in
-  clamp_into ts ~xs ~ys;
+  load (Numerics.Nesterov.x opt);
   (* hard mode: exact projection at the end of GP *)
   (match p.Gp_params.sym_mode with
   | Gp_params.Hard -> Place_common.Constraint_penalty.project_hard ts.cp ~xs ~ys

@@ -80,18 +80,30 @@ let run ?(params = default) ?perf (c : Netlist.Circuit.t) =
       if ys.(i) > side -. hh then ys.(i) <- side -. hh
     done
   in
+  (* scratch reused by every evaluation: Cg.minimize copies the
+     returned gradient before it evaluates again *)
+  let xs = Array.make n 0.0 and ys = Array.make n 0.0 in
+  let gx = Array.make n 0.0 and gy = Array.make n 0.0 in
+  let gxd = Array.make n 0.0 and gyd = Array.make n 0.0 in
+  let gxs = Array.make n 0.0 and gys = Array.make n 0.0 in
+  let g = Array.make (2 * n) 0.0 in
+  let zero a = Array.fill a 0 n 0.0 in
   let objective v =
     incr f_evals;
     Telemetry.Counter.incr fevals_counter;
-    let xs = Array.sub v 0 n and ys = Array.sub v n n in
+    Array.blit v 0 xs 0 n;
+    Array.blit v n ys 0 n;
     clamp xs ys;
-    let gx = Array.make n 0.0 and gy = Array.make n 0.0 in
+    zero gx;
+    zero gy;
+    zero gxd;
+    zero gyd;
+    zero gxs;
+    zero gys;
     let wl = Wirelength.Lse.value_grad nv ~gamma ~xs ~ys ~gx ~gy in
-    let gxd = Array.make n 0.0 and gyd = Array.make n 0.0 in
     let den =
       Density.Bell.value_grad bell ~widths ~heights ~xs ~ys ~gx:gxd ~gy:gyd
     in
-    let gxs = Array.make n 0.0 and gys = Array.make n 0.0 in
     let sym =
       Place_common.Constraint_penalty.value_grad cp ~xs ~ys ~gx:gxs ~gy:gys
     in
@@ -100,7 +112,6 @@ let run ?(params = default) ?perf (c : Netlist.Circuit.t) =
       | None -> 0.0
       | Some phi_grad -> phi_grad ~xs ~ys ~gx ~gy
     in
-    let g = Array.make (2 * n) 0.0 in
     for i = 0 to n - 1 do
       g.(i) <- gx.(i) +. (!beta *. gxd.(i)) +. (p.tau *. gxs.(i));
       g.(n + i) <- gy.(i) +. (!beta *. gyd.(i)) +. (p.tau *. gys.(i))
