@@ -1,7 +1,10 @@
 (** ePlace-A's integrated ILP legalization + detailed placement
     (paper Eq. 4): single-stage area and wirelength minimisation with
     device flipping, hard symmetry, alignment and ordering constraints,
-    solved as two per-axis ILPs (the formulation is separable). *)
+    solved as two per-axis ILPs (the formulation is separable). The
+    constraint rows and the axis driver are {!Place_common.Dp_flow}'s,
+    shared with the prior work [11]'s two-stage LP; this module adds
+    the objective and the flip binaries. *)
 
 type flip_strategy =
   | Flip_exact  (** flip binaries solved exactly by branch and bound *)
@@ -12,18 +15,14 @@ type params = {
   mu : float;  (** area weight (Eq. 4a) *)
   zeta : float;  (** utilization factor for the tilde-W/H estimate *)
   flip : flip_strategy;
-  max_nodes : int;  (** branch-and-bound node budget (Flip_exact) *)
-  time_limit : float;
-  debug : bool;
-      (** print per-axis ILP status to stderr when an axis comes back
-          infeasible/unbounded (was the [DP_DEBUG] env var — an
-          explicit flag so cached runs stay a pure function of their
-          spec; placer-lint rule C1) *)
+  max_nodes : int;
+      (** branch-and-bound node budget per axis (Flip_exact); the only
+          limit on a solve, so results never depend on host load *)
 }
 
 val default_params : params
 
-type result = {
+type result = Place_common.Dp_flow.legalized = {
   layout : Netlist.Layout.t;
   runtime_s : float;
   nodes_x : int;

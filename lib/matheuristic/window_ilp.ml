@@ -198,11 +198,7 @@ let solve ?(node_budget = 400) inst =
   if k = 0 then None
   else
     let prob, s_v, t_v = ilp_problem inst in
-    let r =
-      (* time-boxed by nodes only: infinite wall-clock limit keeps the
-         solve deterministic (placer-lint D1) *)
-      Numerics.Ilp.solve ~max_nodes:node_budget ~time_limit:infinity prob
-    in
+    let r = Numerics.Ilp.solve ~max_nodes:node_budget prob in
     match r.Numerics.Ilp.status with
     | Numerics.Ilp.Ilp_optimal | Numerics.Ilp.Ilp_feasible ->
         let x = r.Numerics.Ilp.x in

@@ -1,6 +1,8 @@
 (* Branch and bound over LP relaxations (depth-first with best-bound
    pruning). Integer variables are branched by adding bound rows to the
-   relaxation; binaries get an implicit upper bound of 1. *)
+   relaxation; binaries get an implicit upper bound of 1. The node
+   budget is the only limit: no clock is read, so a solve is a pure
+   function of its problem. *)
 
 type vartype = Continuous | Integer | Binary
 
@@ -24,7 +26,7 @@ let is_integral v = abs_float (v -. Float.round v) <= int_tol
 let nodes_counter = Telemetry.Counter.make "ilp.nodes"
 let solves_counter = Telemetry.Counter.make "ilp.solves"
 
-let solve ?(max_nodes = 500) ?(time_limit = 30.0) (p : problem) =
+let solve ?(max_nodes = 500) (p : problem) =
   if Array.length p.kinds <> p.base.Simplex.n_vars then
     invalid_arg "Ilp.solve: kinds size";
   let binary_bounds =
@@ -44,7 +46,6 @@ let solve ?(max_nodes = 500) ?(time_limit = 30.0) (p : problem) =
       }
   in
   Telemetry.Counter.incr solves_counter;
-  let t_start = Telemetry.now () in
   let incumbent = ref None in
   let incumbent_obj = ref infinity in
   let nodes = ref 0 in
@@ -57,10 +58,7 @@ let solve ?(max_nodes = 500) ?(time_limit = 30.0) (p : problem) =
     | [] -> running := false
     | node :: rest ->
         stack := rest;
-        if
-          !nodes >= max_nodes
-          || Telemetry.now () -. t_start > time_limit
-        then begin
+        if !nodes >= max_nodes then begin
           truncated := true;
           stack := []
         end

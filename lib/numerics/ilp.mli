@@ -12,7 +12,7 @@ type problem = {
 
 type status =
   | Ilp_optimal  (** proved optimal *)
-  | Ilp_feasible  (** node/time limit hit; best incumbent returned *)
+  | Ilp_feasible  (** node budget hit; best incumbent returned *)
   | Ilp_infeasible
   | Ilp_unbounded
 
@@ -23,6 +23,8 @@ type result = {
   nodes : int;  (** LP relaxations solved *)
 }
 
-val solve : ?max_nodes:int -> ?time_limit:float -> problem -> result
-(** Binary variables get an implicit [x <= 1] bound.
+val solve : ?max_nodes:int -> problem -> result
+(** Solves at most [max_nodes] (default 500) LP relaxations; the node
+    budget is the only limit, so results never depend on host load.
+    Binary variables get an implicit [x <= 1] bound.
     @raise Invalid_argument if [kinds] size mismatches the problem. *)

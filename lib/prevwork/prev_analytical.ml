@@ -1,21 +1,14 @@
 (* Reimplementation of the prior analytical analog placer [11]
    (Xu et al., ISPD'19), the paper's second comparison point: LSE +
    bell-shaped-density global placement followed by two-stage LP
-   legalization and detailed placement. Restart/refinement policy is
-   kept identical to our ePlace-A driver so the measured differences
-   isolate the paper's three stated causes: no area term, LSE vs WA
-   smoothing, and no device flipping. *)
+   legalization and detailed placement. The restart/refinement loop is
+   ePlace-A's own ([Place_common.Dp_flow.best_of_restarts]), so the
+   measured differences isolate the paper's three stated causes: no
+   area term, LSE vs WA smoothing, and no device flipping. *)
 
-type params = {
-  gp : Ntu_gp.params;
-  lp : Lp_stages.params;
-  passes : int;
-  restarts : int;
-}
+type params = { gp : Ntu_gp.params; passes : int; restarts : int }
 
-let default_params =
-  { gp = Ntu_gp.default; lp = Lp_stages.default_params; passes = 3;
-    restarts = 5 }
+let default_params = { gp = Ntu_gp.default; passes = 3; restarts = 5 }
 
 type result = {
   layout : Netlist.Layout.t;
@@ -23,41 +16,17 @@ type result = {
   runtime_s : float;
 }
 
-let place_once params ?perf c ~seed =
-  let gp_params = { params.gp with Ntu_gp.seed } in
-  let gp_result = Ntu_gp.run ~params:gp_params ?perf c in
-  let rec refine gp_layout pass last =
-    if pass >= params.passes then last
-    else
-      match Lp_stages.run ~params:params.lp c ~gp:gp_layout with
-      | Some r -> refine r.Lp_stages.layout (pass + 1) (Some r)
-      | None -> last
-  in
-  match refine gp_result.Ntu_gp.layout 0 None with
-  | Some lp_result -> Some (gp_result, lp_result)
-  | None -> None
-
-let default_score l = Netlist.Layout.area l *. Netlist.Layout.hpwl l
+let default_score = Place_common.Dp_flow.default_score
 
 let place ?(params = default_params) ?perf ?(score = default_score)
     (c : Netlist.Circuit.t) =
-  let t0 = Telemetry.now () in
-  let best = ref None in
-  for k = 0 to max 0 (params.restarts - 1) do
-    match place_once params ?perf c ~seed:(params.gp.Ntu_gp.seed + k) with
-    | Some (gp_result, lp_result) ->
-        let s = score lp_result.Lp_stages.layout in
-        (match !best with
-        | Some (s0, _, _) when s0 <= s -> ()
-        | _ -> best := Some (s, gp_result, lp_result))
-    | None -> ()
-  done;
-  match !best with
-  | Some (_, gp_result, lp_result) ->
-      Some
-        {
-          layout = lp_result.Lp_stages.layout;
-          gp_result;
-          runtime_s = Telemetry.now () -. t0;
-        }
-  | None -> None
+  let gp ~seed =
+    let r = Ntu_gp.run ~params:{ params.gp with Ntu_gp.seed } ?perf c in
+    (r, r.Ntu_gp.layout)
+  in
+  Place_common.Dp_flow.best_of_restarts ~restarts:params.restarts
+    ~passes:params.passes ~seed:params.gp.Ntu_gp.seed ~score ~gp
+    ~dp:(fun gp -> Lp_stages.run c ~gp)
+    ~layout:(fun (r : Lp_stages.result) -> r.layout)
+  |> Option.map (fun (gp_result, (lp_result : Lp_stages.result), runtime_s) ->
+         { layout = lp_result.layout; gp_result; runtime_s })

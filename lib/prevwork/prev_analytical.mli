@@ -1,11 +1,11 @@
 (** Reimplementation of the prior analytical analog placer [11]
     (Xu et al., ISPD'19): LSE + bell-density global placement and
     two-stage LP legalization / detailed placement, no flipping, no
-    area objective. *)
+    area objective. Restarts and refinement passes run through
+    {!Place_common.Dp_flow.best_of_restarts}, the loop ePlace-A uses. *)
 
 type params = {
   gp : Ntu_gp.params;
-  lp : Lp_stages.params;
   passes : int;  (** LP-stage refinement passes, matching ePlace-A *)
   restarts : int;  (** GP seeds tried, matching ePlace-A *)
 }
