@@ -8,9 +8,10 @@
    reusable scratch, rewrites only the islands whose packed position
    (or mirrored content) changed, re-evaluates only the nets incident
    to those islands, and re-sums the cache in net-id order. Terminal
-   offsets, device half-extents, island layouts and ordering-chain
-   pairs are all flattened into arrays at construction so the per-move
-   path allocates nothing.
+   offsets, device half-extents and ordering-chain pairs are flattened
+   into arrays at construction, and islands already store their members
+   as arrays, so the per-move path allocates nothing but a mirrored
+   island.
 
    Bit-equality with the historical path is a hard invariant (the
    pool's determinism contract extends through it): maxima are
@@ -47,7 +48,7 @@ type objective = {
 }
 
 (* Pending-move undo: permutations are restored by blitting the saved
-   copy back; a mirrored island is restored by swapping the old record
+   copy back; a mirrored island is restored by swapping the old island
    back in (and re-marking the island dirty, since the arena still
    holds the mirrored pin positions). *)
 type undo =
@@ -75,11 +76,6 @@ type t = {
   net_mark : int array;  (* eval stamp when last marked dirty *)
   dirty_nets : int array;  (* scratch list of nets to re-evaluate *)
   mutable stamp : int;
-  (* flattened island contents, rebuilt per island on mirror *)
-  isl_dev : int array array;
-  isl_dx : float array array;
-  isl_dy : float array array;
-  isl_or : Geometry.Orient.t array array;
   (* per-device half extents: 0.5 * w, 0.5 * h *)
   dev_hw : float array;
   dev_hh : float array;
@@ -116,23 +112,6 @@ let full_repacks_counter = Telemetry.Counter.make "sa.full_repacks"
 let state t = t.st
 let objective t = t.obj
 
-let flatten_island t b =
-  let devices = t.st.islands.(b).Island.devices in
-  let k = List.length devices in
-  if Array.length t.isl_dev.(b) <> k then begin
-    t.isl_dev.(b) <- Array.make k 0;
-    t.isl_dx.(b) <- Array.make k 0.0;
-    t.isl_dy.(b) <- Array.make k 0.0;
-    t.isl_or.(b) <- Array.make k Geometry.Orient.identity
-  end;
-  List.iteri
-    (fun i (p : Island.placed_dev) ->
-      t.isl_dev.(b).(i) <- p.Island.dev;
-      t.isl_dx.(b).(i) <- p.Island.dx;
-      t.isl_dy.(b).(i) <- p.Island.dy;
-      t.isl_or.(b).(i) <- p.Island.orient)
-    devices
-
 (* Weighted span of one net at the arena's current positions. Exactly
    Layout.net_hpwl's arithmetic (pin offset, centre-to-corner shift,
    running min/max) over the flattened terminal arrays. *)
@@ -167,8 +146,6 @@ let refresh t =
   t.stamp <- t.stamp + 1;
   Seqpair.pack_into t.packer st.sp ~widths:st.widths ~heights:st.heights
     ~xs:t.new_xs ~ys:t.new_ys;
-  let xs = t.arena.Netlist.Layout.xs and ys = t.arena.Netlist.Layout.ys in
-  let orients = t.arena.Netlist.Layout.orients in
   let n_dirty = ref 0 in
   for b = 0 to n - 1 do
     if
@@ -179,14 +156,7 @@ let refresh t =
       t.force_dirty.(b) <- false;
       t.cur_xs.(b) <- t.new_xs.(b);
       t.cur_ys.(b) <- t.new_ys.(b);
-      let dev = t.isl_dev.(b) and dx = t.isl_dx.(b) and dy = t.isl_dy.(b) in
-      let ors = t.isl_or.(b) in
-      for i = 0 to Array.length dev - 1 do
-        let d = dev.(i) in
-        xs.(d) <- t.new_xs.(b) +. dx.(i);
-        ys.(d) <- t.new_ys.(b) +. dy.(i);
-        orients.(d) <- ors.(i)
-      done;
+      Island.place st.islands.(b) ~xs:t.new_xs ~ys:t.new_ys b t.arena;
       let nets = t.island_nets.(b) in
       for i = 0 to Array.length nets - 1 do
         let e = nets.(i) in
@@ -287,16 +257,7 @@ let full_cost t =
   let st = t.st in
   let xs, ys = Seqpair.pack st.sp ~widths:st.widths ~heights:st.heights in
   let l = Netlist.Layout.create st.circuit in
-  Array.iteri
-    (fun b (isl : Island.t) ->
-      List.iter
-        (fun (p : Island.placed_dev) ->
-          Netlist.Layout.set l p.Island.dev
-            ~x:(xs.(b) +. p.Island.dx)
-            ~y:(ys.(b) +. p.Island.dy);
-          Netlist.Layout.set_orient l p.Island.dev p.Island.orient)
-        isl.Island.devices)
-    st.islands;
+  Array.iteri (fun b isl -> Island.place isl ~xs ~ys b l) st.islands;
   combine t ~area:(Netlist.Layout.area l) ~hpwl:(Netlist.Layout.hpwl l)
     ~ord:(order_violation_cost l) l
 
@@ -334,10 +295,9 @@ let make ?(check_every = 0) obj (st : state) =
   let island_nets =
     Array.map
       (fun (isl : Island.t) ->
-        List.concat_map
-          (fun (p : Island.placed_dev) ->
-            Array.to_list (Netlist.Netview.nets_of_device view p.Island.dev))
-          isl.Island.devices
+        Array.to_list isl.Island.devs
+        |> List.concat_map (fun d ->
+               Array.to_list (Netlist.Netview.nets_of_device view d))
         |> List.sort_uniq compare
         |> List.filter (Netlist.Netview.active view)
         |> Array.of_list)
@@ -421,10 +381,6 @@ let make ?(check_every = 0) obj (st : state) =
       net_mark = Array.make n_nets 0;
       dirty_nets = Array.make n_nets 0;
       stamp = 0;
-      isl_dev = Array.make n [||];
-      isl_dx = Array.make n [||];
-      isl_dy = Array.make n [||];
-      isl_or = Array.make n [||];
       dev_hw;
       dev_hh;
       net_weight;
@@ -448,9 +404,6 @@ let make ?(check_every = 0) obj (st : state) =
       pending_hits = 0;
     }
   in
-  for b = 0 to n - 1 do
-    flatten_island t b
-  done;
   (* Initial full evaluation: populate arena and cache, then capture
      the normalisation exactly as the historical annealer did from its
      first realized layout. *)
@@ -489,7 +442,6 @@ let propose t rng =
       let b = Numerics.Rng.int rng n in
       let old = st.islands.(b) in
       st.islands.(b) <- Island.mirror_x old;
-      flatten_island t b;
       t.force_dirty.(b) <- true;
       (* placer-lint: allow A1 the undo record is one two-word block per mirror move (1 in 5 proposals), freed on commit; storing it is the undo protocol *)
       t.undo <- U_island (b, old)
@@ -505,7 +457,6 @@ let replace_island t b (isl : Island.t) =
   st.islands.(b) <- isl;
   st.widths.(b) <- isl.Island.w;
   st.heights.(b) <- isl.Island.h;
-  flatten_island t b;
   t.force_dirty.(b) <- true;
   t.undo <- U_island (b, old)
 
@@ -543,7 +494,6 @@ let revert t =
          rewrites the same values *)
       st.widths.(b) <- old.Island.w;
       st.heights.(b) <- old.Island.h;
-      flatten_island t b;
       (* the arena still holds the replaced positions *)
       t.force_dirty.(b) <- true);
   t.undo <- U_none

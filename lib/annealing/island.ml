@@ -2,19 +2,22 @@
    each alignment cluster of otherwise-free devices — is packed into a
    rigid macro whose internal placement satisfies its constraints by
    construction. Simulated annealing then floorplans the macros with a
-   sequence pair, so every intermediate solution is constraint-clean. *)
+   sequence pair, so every intermediate solution is constraint-clean.
+
+   This module is the only home of an island's packing arithmetic:
+   the annealer's islands, the template families (built in slot space
+   through the same constructors) and every layout written from a
+   packed floorplan all go through it. Islands are immutable values —
+   a mirror or a relabel builds fresh arrays and may share the
+   unchanged ones. *)
 
 module CS = Netlist.Constraint_set
 
-type placed_dev = {
-  dev : int;
-  dx : float;  (* centre offset from island lower-left corner *)
-  dy : float;
-  orient : Geometry.Orient.t;
-}
-
 type t = {
-  devices : placed_dev list;
+  devs : int array;
+  dx : float array;  (* centre offset from island lower-left corner *)
+  dy : float array;
+  orient : Geometry.Orient.t array;
   w : float;
   h : float;
   (* for vertical-axis groups, x offset of the internal symmetry axis;
@@ -22,134 +25,130 @@ type t = {
   axis_dx : float option;
 }
 
+type selfs_pos = Center | Above | Below
+
 let dev_wh c i =
   let d = Netlist.Circuit.device c i in
   (d.Netlist.Device.w, d.Netlist.Device.h)
 
-(* Pack a vertical-axis symmetry group as three columns around the
-   axis: mirrored pair devices in the outer columns (right-hand device
-   x-flipped so the pair is a true reflection) and self-symmetric
-   devices stacked in a central column on the axis. Placing selfs
-   between the pair columns — rather than above — keeps mirror rows
-   (out / diode / out) bottom-aligned and order-consistent. *)
-let of_sym_group_vertical c (g : CS.sym_group) =
-  let wc =
-    List.fold_left
-      (fun m r -> Float.max m (fst (dev_wh c r)))
-      0.0 g.CS.selfs
-  in
+(* Pack a vertical-axis symmetry group around its axis: mirrored pair
+   devices in two columns (right-hand device x-flipped so the pair is
+   a true reflection) and self-symmetric devices stacked on the axis.
+   [Center] puts the selfs in a column between the pair columns, which
+   keeps mirror rows (out / diode / out) bottom-aligned and
+   order-consistent — the layout {!decompose} uses; [Above]/[Below]
+   close the pair columns up and stack the selfs over/under them.
+   Members are pairs in order (a then b), then selfs. *)
+let pack_sym ~dims ~selfs_pos ~pairs ~selfs =
+  let wc = List.fold_left (fun m r -> Float.max m (fst (dims r))) 0.0 selfs in
   let wp =
     List.fold_left
-      (fun m (a, b) ->
-        Float.max m (Float.max (fst (dev_wh c a)) (fst (dev_wh c b))))
-      0.0 g.CS.pairs
+      (fun m (a, b) -> Float.max m (Float.max (fst (dims a)) (fst (dims b))))
+      0.0 pairs
   in
-  let total_w = wc +. (2.0 *. wp) in
-  let axis = 0.5 *. total_w in
-  let yp = ref 0.0 in
-  let pair_devs =
-    List.concat_map
-      (fun (a, b) ->
-        let wa, ha = dev_wh c a and wb, hb = dev_wh c b in
-        let row_h = Float.max ha hb in
-        let placed =
-          [
-            { dev = a; dx = axis -. (0.5 *. wc) -. (0.5 *. wa);
-              dy = !yp +. (0.5 *. ha); orient = Geometry.Orient.identity };
-            { dev = b; dx = axis +. (0.5 *. wc) +. (0.5 *. wb);
-              dy = !yp +. (0.5 *. hb);
-              orient = Geometry.Orient.make ~fx:true ~fy:false };
-          ]
-        in
-        yp := !yp +. row_h;
-        placed)
-      g.CS.pairs
+  let w, gap =
+    match selfs_pos with
+    | Center -> (wc +. (2.0 *. wp), wc)
+    | Above | Below -> (Float.max (2.0 *. wp) wc, 0.0)
   in
-  let ys = ref 0.0 in
-  let self_devs =
-    List.map
-      (fun r ->
-        let _, hr = dev_wh c r in
-        let p =
-          { dev = r; dx = axis; dy = !ys +. (0.5 *. hr);
-            orient = Geometry.Orient.identity }
-        in
-        ys := !ys +. hr;
-        p)
-      g.CS.selfs
+  let axis = 0.5 *. w in
+  let n_pairs = 2 * List.length pairs in
+  let n = n_pairs + List.length selfs in
+  let devs = Array.make n 0 and dx = Array.make n 0.0 in
+  let dy = Array.make n 0.0 and orient = Array.make n Geometry.Orient.identity in
+  let put i d x y =
+    devs.(i) <- d;
+    dx.(i) <- x;
+    dy.(i) <- y
   in
-  {
-    devices = pair_devs @ self_devs;
-    w = total_w;
-    h = Float.max !yp !ys;
-    axis_dx = Some axis;
-  }
+  let place_pairs y0 =
+    let y = ref y0 in
+    List.iteri
+      (fun k (a, b) ->
+        let wa, ha = dims a and wb, hb = dims b in
+        put (2 * k) a (axis -. (0.5 *. gap) -. (0.5 *. wa)) (!y +. (0.5 *. ha));
+        put ((2 * k) + 1) b
+          (axis +. (0.5 *. gap) +. (0.5 *. wb))
+          (!y +. (0.5 *. hb));
+        orient.((2 * k) + 1) <- Geometry.Orient.make ~fx:true ~fy:false;
+        y := !y +. Float.max ha hb)
+      pairs;
+    !y
+  in
+  let place_selfs y0 =
+    let y = ref y0 in
+    List.iteri
+      (fun k r ->
+        let hr = snd (dims r) in
+        put (n_pairs + k) r axis (!y +. (0.5 *. hr));
+        y := !y +. hr)
+      selfs;
+    !y
+  in
+  let h =
+    match selfs_pos with
+    | Center ->
+        let yp = place_pairs 0.0 in
+        Float.max yp (place_selfs 0.0)
+    | Above -> place_selfs (place_pairs 0.0)
+    | Below -> place_pairs (place_selfs 0.0)
+  in
+  { devs; dx; dy; orient; w; h; axis_dx = Some axis }
 
-(* Horizontal-axis groups: the same construction transposed. The
-   transpose swaps the flip components faithfully ({fx; fy} becomes
-   {fy; fx}), so orientations carrying [fy] — e.g. a template stored
+(* Swap the axes: a vertical-axis group becomes a horizontal-axis one.
+   The flip components swap faithfully ({fx; fy} becomes {fy; fx}), so
+   orientations carrying [fy] — e.g. a template stored
    mirror-canonical and re-transposed — round-trip exactly instead of
    collapsing onto the identity. *)
-let of_sym_group_horizontal c (g : CS.sym_group) =
-  let v =
-    of_sym_group_vertical c
-      { g with CS.sym_axis = CS.Vertical }
-  in
+let transpose t =
   {
-    devices =
-      List.map
-        (fun p ->
-          {
-            p with
-            dx = p.dy;
-            dy = p.dx;
-            orient =
-              Geometry.Orient.make ~fx:p.orient.Geometry.Orient.fy
-                ~fy:p.orient.Geometry.Orient.fx;
-          })
-        v.devices;
-    w = v.h;
-    h = v.w;
+    t with
+    dx = t.dy;
+    dy = t.dx;
+    orient =
+      Array.map
+        (fun (o : Geometry.Orient.t) ->
+          Geometry.Orient.make ~fx:o.Geometry.Orient.fy
+            ~fy:o.Geometry.Orient.fx)
+        t.orient;
+    w = t.h;
+    h = t.w;
+    axis_dx = None;
+  }
+
+(* A bottom-aligned row in list order: alignment clusters of free
+   devices (the only cross-device alignment kind the generators emit
+   for free devices; other kinds fall back to bottom rows too, which
+   keeps the macro rigid and the checks conservative) and, as a row of
+   one, every free device. *)
+let pack_row ~dims ds =
+  let n = List.length ds in
+  let dx = Array.make n 0.0 and dy = Array.make n 0.0 in
+  let x = ref 0.0 and h = ref 0.0 in
+  List.iteri
+    (fun i d ->
+      let w, hd = dims d in
+      dx.(i) <- !x +. (0.5 *. w);
+      dy.(i) <- 0.5 *. hd;
+      x := !x +. w;
+      h := Float.max !h hd)
+    ds;
+  {
+    devs = Array.of_list ds;
+    dx;
+    dy;
+    orient = Array.make n Geometry.Orient.identity;
+    w = !x;
+    h = !h;
     axis_dx = None;
   }
 
 let of_sym_group c (g : CS.sym_group) =
-  match g.CS.sym_axis with
-  | CS.Vertical -> of_sym_group_vertical c g
-  | CS.Horizontal -> of_sym_group_horizontal c g
-
-(* Alignment cluster of free devices: a bottom-aligned row in chain
-   order (the only cross-device alignment kind the generators emit for
-   free devices; other kinds fall back to bottom rows too, which keeps
-   the macro rigid and the checks conservative). *)
-let of_align_row c devs =
-  let x = ref 0.0 in
-  let h = ref 0.0 in
-  let devices =
-    List.map
-      (fun d ->
-        let w, hd = dev_wh c d in
-        let p =
-          { dev = d; dx = !x +. (0.5 *. w); dy = 0.5 *. hd;
-            orient = Geometry.Orient.identity }
-        in
-        x := !x +. w;
-        h := Float.max !h hd;
-        p)
-      devs
+  let v =
+    pack_sym ~dims:(dev_wh c) ~selfs_pos:Center ~pairs:g.CS.pairs
+      ~selfs:g.CS.selfs
   in
-  { devices; w = !x; h = !h; axis_dx = None }
-
-let of_free_device c d =
-  let w, h = dev_wh c d in
-  {
-    devices =
-      [ { dev = d; dx = 0.5 *. w; dy = 0.5 *. h;
-          orient = Geometry.Orient.identity } ];
-    w;
-    h;
-    axis_dx = None;
-  }
+  match g.CS.sym_axis with CS.Vertical -> v | CS.Horizontal -> transpose v
 
 (* Mirror an island about its vertical centreline (a legal SA move:
    symmetry is preserved, pin positions change). The internal symmetry
@@ -159,17 +158,24 @@ let of_free_device c d =
 let mirror_x t =
   {
     t with
-    devices =
-      List.map
-        (fun p ->
-          {
-            p with
-            dx = t.w -. p.dx;
-            orient = Geometry.Orient.flip_x p.orient;
-          })
-        t.devices;
+    dx = Array.map (fun x -> t.w -. x) t.dx;
+    orient = Array.map Geometry.Orient.flip_x t.orient;
     axis_dx = Option.map (fun a -> t.w -. a) t.axis_dx;
   }
+
+(* Write island [t]'s members into [l], its lower-left corner at
+   ([xs.(b)], [ys.(b)]) — the packed floorplan's arrays and the
+   island's index, so no float crosses the call boxed. *)
+let place t ~xs ~ys b (l : Netlist.Layout.t) =
+  let lx = l.Netlist.Layout.xs and ly = l.Netlist.Layout.ys in
+  let lo = l.Netlist.Layout.orients in
+  for i = 0 to Array.length t.devs - 1 do
+    let d = t.devs.(i) in
+    lx.(d) <- xs.(b) +. t.dx.(i);
+    ly.(d) <- ys.(b) +. t.dy.(i);
+    lo.(d) <- t.orient.(i)
+  done
+[@@placer_lint.hot]
 
 (* Decompose a circuit into islands: one per symmetry group, one per
    alignment cluster of remaining devices, one per remaining free
@@ -211,7 +217,6 @@ let decompose (c : Netlist.Circuit.t) =
     Array.to_list members
     |> List.concat_map (function
          | [] -> []
-         | [ d ] -> [ of_free_device c d ]
-         | ds -> [ of_align_row c ds ])
+         | ds -> [ pack_row ~dims:(dev_wh c) ds ])
   in
   sym_islands @ free_islands

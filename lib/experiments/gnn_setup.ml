@@ -21,17 +21,7 @@ let random_packing rng (c : Netlist.Circuit.t) islands =
   let heights = Array.map (fun (i : Annealing.Island.t) -> i.Annealing.Island.h) islands in
   let xs, ys = Annealing.Seqpair.pack sp ~widths ~heights in
   let l = Netlist.Layout.create c in
-  Array.iteri
-    (fun b (isl : Annealing.Island.t) ->
-      List.iter
-        (fun (p : Annealing.Island.placed_dev) ->
-          Netlist.Layout.set l p.Annealing.Island.dev
-            ~x:(xs.(b) +. p.Annealing.Island.dx)
-            ~y:(ys.(b) +. p.Annealing.Island.dy);
-          Netlist.Layout.set_orient l p.Annealing.Island.dev
-            p.Annealing.Island.orient)
-        isl.Annealing.Island.devices)
-    islands;
+  Array.iteri (fun b isl -> Annealing.Island.place isl ~xs ~ys b l) islands;
   l
 
 let spread_layout rng l factor =

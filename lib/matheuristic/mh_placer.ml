@@ -36,17 +36,16 @@ let windows_counter = Telemetry.Counter.make "mh.windows"
 let win_accept_counter = Telemetry.Counter.make "mh.window_accepts"
 let win_reject_counter = Telemetry.Counter.make "mh.window_rejects"
 
-(* Per-anneal window scratch, sized once: device->item map, island
-   membership, device offsets within the current window's islands, and
-   the permutation buffers a window rewrite builds into. Only entries
+(* Per-anneal window scratch, sized once: device->item and
+   device->member maps (a member's offsets are read from its island),
+   island membership, and the permutation buffers a window rewrite
+   builds into. Only entries
    belonging to the current window are ever written, and they are
    cleared again when the window is done. *)
 type scratch = {
   view : Netlist.Netview.t;
   dev_item : int array;  (* device id -> window item index, or -1 *)
-  dev_dx : float array;  (* device centre offset from island LL *)
-  dev_dy : float array;
-  dev_or : Geometry.Orient.t array;
+  dev_member : int array;  (* device id -> member index in its island *)
   in_window : bool array;  (* island id -> member of current window *)
   pos_buf : int array;
   neg_buf : int array;
@@ -57,9 +56,7 @@ let make_scratch c n_islands =
   {
     view = Netlist.Netview.of_circuit c;
     dev_item = Array.make nd (-1);
-    dev_dx = Array.make nd 0.0;
-    dev_dy = Array.make nd 0.0;
-    dev_or = Array.make nd Geometry.Orient.identity;
+    dev_member = Array.make nd 0;
     in_window = Array.make n_islands false;
     pos_buf = Array.make n_islands 0;
     neg_buf = Array.make n_islands 0;
@@ -69,22 +66,18 @@ let mark sc (st : Eval.state) ws =
   Array.iteri
     (fun it b ->
       sc.in_window.(b) <- true;
-      List.iter
-        (fun (p : Island.placed_dev) ->
-          sc.dev_item.(p.Island.dev) <- it;
-          sc.dev_dx.(p.Island.dev) <- p.Island.dx;
-          sc.dev_dy.(p.Island.dev) <- p.Island.dy;
-          sc.dev_or.(p.Island.dev) <- p.Island.orient)
-        st.Eval.islands.(b).Island.devices)
+      Array.iteri
+        (fun i d ->
+          sc.dev_item.(d) <- it;
+          sc.dev_member.(d) <- i)
+        st.Eval.islands.(b).Island.devs)
     ws
 
 let unmark sc (st : Eval.state) ws =
   Array.iter
     (fun b ->
       sc.in_window.(b) <- false;
-      List.iter
-        (fun (p : Island.placed_dev) -> sc.dev_item.(p.Island.dev) <- -1)
-        st.Eval.islands.(b).Island.devices)
+      Array.iter (fun d -> sc.dev_item.(d) <- -1) st.Eval.islands.(b).Island.devs)
     ws
 
 (* Cut the window [ws] (island ids, already marked in [sc]) out of the
@@ -112,11 +105,9 @@ let build_inst eng sc (ws : int array) =
   let net_ids =
     Array.to_list ws
     |> List.concat_map (fun b ->
-           List.concat_map
-             (fun (p : Island.placed_dev) ->
-               Array.to_list
-                 (Netlist.Netview.nets_of_device sc.view p.Island.dev))
-             st.Eval.islands.(b).Island.devices)
+           Array.to_list st.Eval.islands.(b).Island.devs
+           |> List.concat_map (fun d ->
+                  Array.to_list (Netlist.Netview.nets_of_device sc.view d)))
     |> List.sort_uniq compare
     |> List.filter (Netlist.Netview.active sc.view)
   in
@@ -127,17 +118,18 @@ let build_inst eng sc (ws : int array) =
   let miny = ref infinity and maxy = ref neg_infinity in
   Array.iter
     (fun b ->
-      match st.Eval.islands.(b).Island.devices with
-      | [] -> ()
-      | p :: _ ->
-          let llx = snap.Netlist.Layout.xs.(p.Island.dev) -. p.Island.dx in
-          let lly = snap.Netlist.Layout.ys.(p.Island.dev) -. p.Island.dy in
-          if llx < !minx then minx := llx;
-          if lly < !miny then miny := lly;
-          if llx +. st.Eval.widths.(b) > !maxx then
-            maxx := llx +. st.Eval.widths.(b);
-          if lly +. st.Eval.heights.(b) > !maxy then
-            maxy := lly +. st.Eval.heights.(b))
+      let isl = st.Eval.islands.(b) in
+      if Array.length isl.Island.devs > 0 then begin
+        let d = isl.Island.devs.(0) in
+        let llx = snap.Netlist.Layout.xs.(d) -. isl.Island.dx.(0) in
+        let lly = snap.Netlist.Layout.ys.(d) -. isl.Island.dy.(0) in
+        if llx < !minx then minx := llx;
+        if lly < !miny then miny := lly;
+        if llx +. st.Eval.widths.(b) > !maxx then
+          maxx := llx +. st.Eval.widths.(b);
+        if lly +. st.Eval.heights.(b) > !maxy then
+          maxy := lly +. st.Eval.heights.(b)
+      end)
     ws;
   let ox0 = !minx and oy0 = !miny in
   (* tiny slack absorbs the round-off of re-deriving pack sums *)
@@ -166,16 +158,21 @@ let build_inst eng sc (ws : int array) =
           (fun (tm : Netlist.Net.terminal) ->
             let d = tm.Netlist.Net.dev in
             if sc.dev_item.(d) >= 0 then begin
-              let it = sc.dev_item.(d) in
+              let it = sc.dev_item.(d) and i = sc.dev_member.(d) in
+              let isl = st.Eval.islands.(ws.(it)) in
               let dd = Netlist.Circuit.device c d in
               let pn = dd.Netlist.Device.pins.(tm.Netlist.Net.pin) in
               let ox', oy' =
-                Geometry.Orient.apply_offset sc.dev_or.(d)
+                Geometry.Orient.apply_offset isl.Island.orient.(i)
                   ~w:dd.Netlist.Device.w ~h:dd.Netlist.Device.h
                   ~ox:pn.Netlist.Device.ox ~oy:pn.Netlist.Device.oy
               in
-              let px = sc.dev_dx.(d) -. (0.5 *. dd.Netlist.Device.w) +. ox' in
-              let py = sc.dev_dy.(d) -. (0.5 *. dd.Netlist.Device.h) +. oy' in
+              let px =
+                isl.Island.dx.(i) -. (0.5 *. dd.Netlist.Device.w) +. ox'
+              in
+              let py =
+                isl.Island.dy.(i) -. (0.5 *. dd.Netlist.Device.h) +. oy'
+              in
               if px < iminx.(it) then iminx.(it) <- px;
               if px > imaxx.(it) then imaxx.(it) <- px;
               if py < iminy.(it) then iminy.(it) <- py;

@@ -68,16 +68,22 @@ val permutable : t -> bool
     false when an order chain pins the internal arrangement or a
     non-bottom alignment makes the row rigid. *)
 
+val same_point : packing -> packing -> bool
+(** Bit-equal (pw, ph, p_hpwl): the point a family is deduplicated on. *)
+
 val candidates : ?cap:int -> t -> seed:packing -> packing array
 (** The Pareto family for this motif: element 0 is [seed] verbatim;
     the rest are legal re-packings (row-order permutations, pair side
-    swaps, self-column position variants) with dominated entries —
+    swaps, self-column position variants), each built in slot space by
+    {!Annealing.Island}'s constructors, with dominated entries —
     on (pw, ph, p_hpwl) — pruned, deterministically ordered. At most
     [cap] (default 512) variants are enumerated before pruning. For a
     non-{!permutable} motif the family is just the seed. *)
 
-val instantiate : t -> slots:int array -> packing -> Annealing.Island.t
-(** Relabel a packing against concrete device ids. *)
+val instantiate : slots:int array -> packing -> Annealing.Island.t
+(** Relabel a packing against concrete device ids: slot [s] becomes
+    member [s], device [slots.(s)]. The island shares the packing's
+    arrays and [slots]. *)
 
 val internal_hpwl : t -> float array -> float array -> float
 (** Weighted HPWL of the motif's nets over centre coordinates, the

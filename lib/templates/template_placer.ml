@@ -11,11 +11,6 @@ module Sa_placer = Annealing.Sa_placer
 
 let swaps_counter = Telemetry.Counter.make "tmpl.swaps"
 
-let same_point (a : Motif.packing) (b : Motif.packing) =
-  Float.equal a.Motif.pw b.Motif.pw
-  && Float.equal a.Motif.ph b.Motif.ph
-  && Float.equal a.Motif.p_hpwl b.Motif.p_hpwl
-
 (* Per-island candidate arrays: entry 0 is the island exactly as
    {!Island.decompose} built it (so restarts start from the historical
    initial configuration), the rest are family members instantiated
@@ -28,8 +23,8 @@ let materialize store c islands =
       let m, slots, seed = Motif.of_island c isl in
       let alts =
         Array.to_list (Template_store.family store m ~seed)
-        |> List.filter (fun p -> not (same_point p seed))
-        |> List.map (fun p -> Motif.instantiate m ~slots p)
+        |> List.filter (fun p -> not (Motif.same_point p seed))
+        |> List.map (Motif.instantiate ~slots)
       in
       Array.of_list (isl :: alts))
     islands

@@ -81,10 +81,7 @@ let island_tests =
             let seen = Array.make (Netlist.Circuit.n_devices c) 0 in
             List.iter
               (fun (isl : Is.t) ->
-                List.iter
-                  (fun (p : Is.placed_dev) ->
-                    seen.(p.Is.dev) <- seen.(p.Is.dev) + 1)
-                  isl.Is.devices)
+                Array.iter (fun d -> seen.(d) <- seen.(d) + 1) isl.Is.devs)
               islands;
             Array.iteri
               (fun d k ->
@@ -96,17 +93,18 @@ let island_tests =
         let c = Fixtures.diff_stage () in
         List.iter
           (fun (isl : Is.t) ->
-            List.iter
-              (fun (p : Is.placed_dev) ->
-                let d = Netlist.Circuit.device c p.Is.dev in
+            Array.iteri
+              (fun i dev ->
+                let d = Netlist.Circuit.device c dev in
                 let hw = 0.5 *. d.Netlist.Device.w in
                 let hh = 0.5 *. d.Netlist.Device.h in
+                let dx = isl.Is.dx.(i) and dy = isl.Is.dy.(i) in
                 Alcotest.(check bool) "inside" true
-                  (p.Is.dx -. hw >= -1e-9
-                  && p.Is.dx +. hw <= isl.Is.w +. 1e-9
-                  && p.Is.dy -. hh >= -1e-9
-                  && p.Is.dy +. hh <= isl.Is.h +. 1e-9))
-              isl.Is.devices)
+                  (dx -. hw >= -1e-9
+                  && dx +. hw <= isl.Is.w +. 1e-9
+                  && dy -. hh >= -1e-9
+                  && dy +. hh <= isl.Is.h +. 1e-9))
+              isl.Is.devs)
           (Is.decompose c));
     Alcotest.test_case "sym island is internally symmetric" `Quick (fun () ->
         let c = Fixtures.diff_stage () in
@@ -119,14 +117,14 @@ let island_tests =
             List.iter
               (fun (a, b) ->
                 let find d =
-                  List.find (fun (p : Is.placed_dev) -> p.Is.dev = d)
-                    isl.Is.devices
+                  let rec go i = if isl.Is.devs.(i) = d then i else go (i + 1) in
+                  go 0
                 in
                 let pa = find a and pb = find b in
                 checkf ~eps:1e-9 "mirrored"
                   (2.0 *. axis)
-                  (pa.Is.dx +. pb.Is.dx);
-                checkf ~eps:1e-9 "same y" pa.Is.dy pb.Is.dy)
+                  (isl.Is.dx.(pa) +. isl.Is.dx.(pb));
+                checkf ~eps:1e-9 "same y" isl.Is.dy.(pa) isl.Is.dy.(pb))
               g.Netlist.Constraint_set.pairs);
     Alcotest.test_case "mirror_x preserves size and symmetry" `Quick
       (fun () ->
@@ -135,8 +133,8 @@ let island_tests =
         let m = Is.mirror_x isl in
         checkf "w" isl.Is.w m.Is.w;
         checkf "h" isl.Is.h m.Is.h;
-        Alcotest.(check int) "devices" (List.length isl.Is.devices)
-          (List.length m.Is.devices));
+        Alcotest.(check int) "devices" (Array.length isl.Is.devs)
+          (Array.length m.Is.devs));
     (* regression pin for the hash-order fix: align chains must cluster
        transitively and the islands must enumerate sym groups first,
        then free clusters in ascending device order *)
@@ -160,10 +158,7 @@ let island_tests =
         let c = Circuits.Builder.build b in
         let groups =
           List.map
-            (fun (isl : Is.t) ->
-              List.sort compare
-                (List.map (fun (p : Is.placed_dev) -> p.Is.dev)
-                   isl.Is.devices))
+            (fun (isl : Is.t) -> List.sort compare (Array.to_list isl.Is.devs))
             (Is.decompose c)
         in
         Alcotest.(check (list (list int)))
@@ -184,10 +179,7 @@ let island_tests =
             let frees = List.filteri (fun i _ -> i >= n_sym) islands in
             let mins =
               List.map
-                (fun (isl : Is.t) ->
-                  List.fold_left
-                    (fun acc (p : Is.placed_dev) -> min acc p.Is.dev)
-                    max_int isl.Is.devices)
+                (fun (isl : Is.t) -> Array.fold_left min max_int isl.Is.devs)
                 frees
             in
             let rec ascending = function

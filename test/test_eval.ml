@@ -103,14 +103,13 @@ let engine_tests =
         let l = Netlist.Layout.create c in
         Array.iteri
           (fun b (isl : Annealing.Island.t) ->
-            List.iter
-              (fun (p : Annealing.Island.placed_dev) ->
-                Netlist.Layout.set l p.Annealing.Island.dev
-                  ~x:(xs.(b) +. p.Annealing.Island.dx)
-                  ~y:(ys.(b) +. p.Annealing.Island.dy);
-                Netlist.Layout.set_orient l p.Annealing.Island.dev
-                  p.Annealing.Island.orient)
-              isl.Annealing.Island.devices)
+            Array.iteri
+              (fun i d ->
+                Netlist.Layout.set l d
+                  ~x:(xs.(b) +. isl.Annealing.Island.dx.(i))
+                  ~y:(ys.(b) +. isl.Annealing.Island.dy.(i));
+                Netlist.Layout.set_orient l d isl.Annealing.Island.orient.(i))
+              isl.Annealing.Island.devs)
           st.E.islands;
         for d = 0 to Netlist.Layout.n_devices l - 1 do
           let pr = Netlist.Layout.center l d in

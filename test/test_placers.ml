@@ -191,12 +191,12 @@ let circuits_tests =
             let x = ref 0.0 in
             List.iter
               (fun (isl : Annealing.Island.t) ->
-                List.iter
-                  (fun (p : Annealing.Island.placed_dev) ->
-                    Netlist.Layout.set l p.Annealing.Island.dev
-                      ~x:(!x +. p.Annealing.Island.dx)
-                      ~y:p.Annealing.Island.dy)
-                  isl.Annealing.Island.devices;
+                Array.iteri
+                  (fun i d ->
+                    Netlist.Layout.set l d
+                      ~x:(!x +. isl.Annealing.Island.dx.(i))
+                      ~y:isl.Annealing.Island.dy.(i))
+                  isl.Annealing.Island.devs;
                 x := !x +. isl.Annealing.Island.w)
               islands;
             ignore (Perfsim.Fom.evaluate l))

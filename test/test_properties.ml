@@ -150,14 +150,13 @@ let prop_island_packing_legal =
       let l = Netlist.Layout.create c in
       Array.iteri
         (fun b (isl : Annealing.Island.t) ->
-          List.iter
-            (fun (p : Annealing.Island.placed_dev) ->
-              Netlist.Layout.set l p.Annealing.Island.dev
-                ~x:(xs.(b) +. p.Annealing.Island.dx)
-                ~y:(ys.(b) +. p.Annealing.Island.dy);
-              Netlist.Layout.set_orient l p.Annealing.Island.dev
-                p.Annealing.Island.orient)
-            isl.Annealing.Island.devices)
+          Array.iteri
+            (fun i d ->
+              Netlist.Layout.set l d
+                ~x:(xs.(b) +. isl.Annealing.Island.dx.(i))
+                ~y:(ys.(b) +. isl.Annealing.Island.dy.(i));
+              Netlist.Layout.set_orient l d isl.Annealing.Island.orient.(i))
+            isl.Annealing.Island.devs)
         islands;
       Netlist.Layout.total_overlap l < 1e-6
       && (match Netlist.Checks.symmetry_violations l with
@@ -180,12 +179,12 @@ let prop_fom_monotone_spread =
       let l = Netlist.Layout.create c in
       Array.iteri
         (fun b (isl : Annealing.Island.t) ->
-          List.iter
-            (fun (p : Annealing.Island.placed_dev) ->
-              Netlist.Layout.set l p.Annealing.Island.dev
-                ~x:(xs.(b) +. p.Annealing.Island.dx)
-                ~y:(ys.(b) +. p.Annealing.Island.dy))
-            isl.Annealing.Island.devices)
+          Array.iteri
+            (fun i d ->
+              Netlist.Layout.set l d
+                ~x:(xs.(b) +. isl.Annealing.Island.dx.(i))
+                ~y:(ys.(b) +. isl.Annealing.Island.dy.(i)))
+            isl.Annealing.Island.devs)
         islands;
       let f1 = Perfsim.Fom.fom l in
       let l2 = Netlist.Layout.copy l in
