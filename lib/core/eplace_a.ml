@@ -16,7 +16,6 @@ let default_params =
 type result = {
   layout : Netlist.Layout.t;
   gp_result : Global_place.result;
-  dp_result : Dp_ilp.result;
   runtime_s : float;
 }
 
@@ -34,4 +33,4 @@ let place ?(params = default_params) ?perf ?(score = default_score)
     ~dp:(fun gp -> Dp_ilp.run ~params:params.dp c ~gp)
     ~layout:(fun (r : Dp_ilp.result) -> r.layout)
   |> Option.map (fun (gp_result, (dp_result : Dp_ilp.result), runtime_s) ->
-         { layout = dp_result.layout; gp_result; dp_result; runtime_s })
+         { layout = dp_result.layout; gp_result; runtime_s })

@@ -14,7 +14,6 @@ val default_params : params
 type result = {
   layout : Netlist.Layout.t;  (** final legal placement *)
   gp_result : Global_place.result;
-  dp_result : Dp_ilp.result;
   runtime_s : float;
 }
 

@@ -22,8 +22,6 @@ type result = {
   layout : Netlist.Layout.t;
   iterations : int;
   final_overflow : float;
-  runtime_s : float;
-  hpwl_trace : float list;  (* sampled every 10 iterations, reversed *)
 }
 
 type term_state = {
@@ -195,7 +193,6 @@ let run ?(params = Gp_params.default) ?perf (c : Netlist.Circuit.t) =
   in
   let opt = Numerics.Nesterov.create ~x0:v0 ~grad () in
   let iters = ref 0 in
-  let hpwl_trace = ref [] in
   let continue_ = ref true in
   while !continue_ && !iters < p.Gp_params.max_iters do
     Numerics.Nesterov.step opt;
@@ -209,9 +206,6 @@ let run ?(params = Gp_params.default) ?perf (c : Netlist.Circuit.t) =
     (* anneal gamma with overflow: tight approximation near convergence *)
     gamma :=
       bin *. p.Gp_params.gamma_factor *. (0.5 +. (9.5 *. Float.min 1.0 !overflow));
-    if !iters mod 10 = 0 then
-      hpwl_trace :=
-        Wirelength.Netview.hpwl ts.nv ~xs ~ys :: !hpwl_trace;
     if !iters >= p.Gp_params.min_iters && !overflow < p.Gp_params.overflow_stop
     then continue_ := false
   done;
@@ -226,13 +220,6 @@ let run ?(params = Gp_params.default) ?perf (c : Netlist.Circuit.t) =
   done;
   Telemetry.Counter.add iters_counter !iters;
   Telemetry.Gauge.set overflow_gauge !overflow;
-  {
-    layout;
-    iterations = !iters;
-    final_overflow = !overflow;
-    runtime_s = 0.0;  (* patched below from the span measurement *)
-    hpwl_trace = !hpwl_trace;
-  }
+  { layout; iterations = !iters; final_overflow = !overflow }
   in
-  let r, dt = Telemetry.Span.timed ~name:"gp" go in
-  { r with runtime_s = dt }
+  Telemetry.Span.with_ ~name:"gp" go

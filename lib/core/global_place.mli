@@ -16,8 +16,6 @@ type result = {
   layout : Netlist.Layout.t;
   iterations : int;
   final_overflow : float;
-  runtime_s : float;
-  hpwl_trace : float list;  (** exact HPWL every 10 iterations, reversed *)
 }
 
 val run :

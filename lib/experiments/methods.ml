@@ -35,8 +35,6 @@ type stats = {
   gnn_s : float;
   select_s : float;
   ilp_nodes : int;
-  sa_accepted : int;
-  sa_rejected : int;
   sa_best_cost : float;
   final_overflow : float;
 }
@@ -62,8 +60,6 @@ let stats_of_telemetry () =
     gnn_s = Telemetry.span_total "gnn";
     select_s = Telemetry.span_total "select";
     ilp_nodes = c "ilp.nodes";
-    sa_accepted = c "sa.accepted";
-    sa_rejected = c "sa.rejected";
     sa_best_cost =
       Telemetry.Gauge.value (Telemetry.Gauge.make "sa.best_cost");
     final_overflow = Telemetry.Gauge.value (Telemetry.Gauge.make "gp.overflow");
@@ -71,8 +67,7 @@ let stats_of_telemetry () =
 
 let zero_stats =
   { iterations = 0; f_evals = 0; gp_s = 0.0; dp_s = 0.0; gnn_s = 0.0;
-    select_s = 0.0; ilp_nodes = 0; sa_accepted = 0; sa_rejected = 0;
-    sa_best_cost = nan; final_overflow = nan }
+    select_s = 0.0; ilp_nodes = 0; sa_best_cost = nan; final_overflow = nan }
 
 (* GNN training generates its layout dataset by running the placers, so
    their spans and counters accumulate under the "gnn" span. Like the
@@ -92,8 +87,6 @@ let sub a b =
     gnn_s = a.gnn_s;  (* reported absolute: the offline cost itself *)
     select_s = a.select_s -. b.select_s;
     ilp_nodes = a.ilp_nodes - b.ilp_nodes;
-    sa_accepted = a.sa_accepted - b.sa_accepted;
-    sa_rejected = a.sa_rejected - b.sa_rejected;
     sa_best_cost = a.sa_best_cost;  (* gauge: last write wins *)
     final_overflow = a.final_overflow;  (* last write wins *)
   }

@@ -36,8 +36,6 @@ type stats = {
   select_s : float;
       (** candidate-selection time of the performance-driven variants *)
   ilp_nodes : int;  (** branch-and-bound LP relaxations solved *)
-  sa_accepted : int;
-  sa_rejected : int;
   sa_best_cost : float;
       (** best annealing cost across restarts; [nan] for non-SA *)
   final_overflow : float;  (** GP density overflow; [nan] for SA *)

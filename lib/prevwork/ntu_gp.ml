@@ -32,12 +32,6 @@ let default =
     iters_per_stage = 60;
   }
 
-type result = {
-  layout : Netlist.Layout.t;
-  runtime_s : float;
-  f_evals : int;
-}
-
 let iters_counter = Telemetry.Counter.make "gp.iterations"
 let fevals_counter = Telemetry.Counter.make "gp.f_evals"
 
@@ -70,7 +64,6 @@ let run ?(params = default) ?perf (c : Netlist.Circuit.t) =
     v0.(n + i) <- cx +. (spread *. Numerics.Rng.gaussian rng)
   done;
   let beta = ref 0.0 in
-  let f_evals = ref 0 in
   let clamp xs ys =
     for i = 0 to n - 1 do
       let hw = 0.5 *. widths.(i) and hh = 0.5 *. heights.(i) in
@@ -89,7 +82,6 @@ let run ?(params = default) ?perf (c : Netlist.Circuit.t) =
   let g = Array.make (2 * n) 0.0 in
   let zero a = Array.fill a 0 n 0.0 in
   let objective v =
-    incr f_evals;
     Telemetry.Counter.incr fevals_counter;
     Array.blit v 0 xs 0 n;
     Array.blit v n ys 0 n;
@@ -146,7 +138,6 @@ let run ?(params = default) ?perf (c : Netlist.Circuit.t) =
   for i = 0 to n - 1 do
     Netlist.Layout.set layout i ~x:xs.(i) ~y:ys.(i)
   done;
-  { layout; runtime_s = 0.0; f_evals = !f_evals }
+  layout
   in
-  let r, dt = Telemetry.Span.timed ~name:"gp" go in
-  { r with runtime_s = dt }
+  Telemetry.Span.with_ ~name:"gp" go

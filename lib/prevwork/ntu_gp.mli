@@ -18,18 +18,12 @@ type params = {
 
 val default : params
 
-type result = {
-  layout : Netlist.Layout.t;
-  runtime_s : float;
-  f_evals : int;
-}
-
 val run :
   ?params:params ->
   ?perf:
     (xs:float array -> ys:float array -> gx:float array -> gy:float array ->
      float) ->
   Netlist.Circuit.t ->
-  result
+  Netlist.Layout.t
 (** [perf] is the Perf* extension hook: the weighted GNN surrogate
     value-and-gradient, exactly as in ePlace-AP. *)

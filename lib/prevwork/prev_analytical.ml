@@ -10,23 +10,18 @@ type params = { gp : Ntu_gp.params; passes : int; restarts : int }
 
 let default_params = { gp = Ntu_gp.default; passes = 3; restarts = 5 }
 
-type result = {
-  layout : Netlist.Layout.t;
-  gp_result : Ntu_gp.result;
-  runtime_s : float;
-}
+type result = { layout : Netlist.Layout.t; runtime_s : float }
 
 let default_score = Place_common.Dp_flow.default_score
 
 let place ?(params = default_params) ?perf ?(score = default_score)
     (c : Netlist.Circuit.t) =
   let gp ~seed =
-    let r = Ntu_gp.run ~params:{ params.gp with Ntu_gp.seed } ?perf c in
-    (r, r.Ntu_gp.layout)
+    ((), Ntu_gp.run ~params:{ params.gp with Ntu_gp.seed } ?perf c)
   in
   Place_common.Dp_flow.best_of_restarts ~restarts:params.restarts
     ~passes:params.passes ~seed:params.gp.Ntu_gp.seed ~score ~gp
     ~dp:(fun gp -> Lp_stages.run c ~gp)
     ~layout:(fun (r : Lp_stages.result) -> r.layout)
-  |> Option.map (fun (gp_result, (lp_result : Lp_stages.result), runtime_s) ->
-         { layout = lp_result.layout; gp_result; runtime_s })
+  |> Option.map (fun ((), (lp_result : Lp_stages.result), runtime_s) ->
+         { layout = lp_result.layout; runtime_s })

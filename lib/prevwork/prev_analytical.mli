@@ -12,11 +12,7 @@ type params = {
 
 val default_params : params
 
-type result = {
-  layout : Netlist.Layout.t;
-  gp_result : Ntu_gp.result;
-  runtime_s : float;
-}
+type result = { layout : Netlist.Layout.t; runtime_s : float }
 
 val default_score : Netlist.Layout.t -> float
 
