@@ -1,12 +1,19 @@
-(* Dense two-phase primal simplex.
+(* Two-phase primal simplex on a dense tableau with sparse pivots.
 
    Problem form: minimize c.x subject to rows (a.x <= / = / >= b) and
    x >= 0. Sizes in this project are a few hundred rows and columns
-   (analog circuits have dozens of devices), so a dense tableau is both
-   simple and fast enough.
+   (analog circuits have dozens of devices), so the tableau is stored
+   dense; but a pivot row holds only tens of nonzeros out of hundreds
+   of columns, so [pivot] gathers the scaled pivot row's nonzero
+   columns and updates only those. A skipped update is
+   [r -. f *. (+-0.0)], which can only turn a [-0.0] cell into [+0.0];
+   no pricing, ratio-test or drive-out comparison tells the two apart,
+   so the pivot sequence and every nonzero value are those of the
+   dense elimination (which [test/test_simplex_oracle.ml] keeps as the
+   oracle).
 
-   Anti-cycling: Dantzig pricing normally, switching to Bland's rule
-   after a stall budget is exhausted. *)
+   Anti-cycling: Dantzig pricing for the first [5 (m + ncols)]
+   iterations of a phase, stalled or not, then Bland's rule. *)
 
 type op = Le | Ge | Eq
 
@@ -34,8 +41,9 @@ type tableau = {
   t : float array array;  (* m rows of length ncols+1; last col = rhs *)
   z : float array;  (* reduced-cost row of length ncols+1 *)
   basis : int array;  (* basic column per row *)
-  n_struct : int;
   art_start : int;  (* columns >= art_start are artificial *)
+  nz : int array;  (* [pivot]'s scratch: the pivot row's nonzero columns *)
+  mutable pivots : int;  (* pivots so far, all phases *)
 }
 
 let build (p : problem) =
@@ -64,12 +72,11 @@ let build (p : problem) =
       (fun acc r -> match r.op with Ge | Eq -> acc + 1 | Le -> acc)
       0 rows
   in
-  let n_struct = p.n_vars in
-  let art_start = n_struct + n_slack in
+  let art_start = p.n_vars + n_slack in
   let ncols = art_start + n_art in
   let t = Array.init m (fun _ -> Array.make (ncols + 1) 0.0) in
   let basis = Array.make m (-1) in
-  let slack = ref n_struct and art = ref art_start in
+  let slack = ref p.n_vars and art = ref art_start in
   Array.iteri
     (fun i r ->
       List.iter
@@ -94,7 +101,16 @@ let build (p : problem) =
           basis.(i) <- !art;
           incr art))
     rows;
-  { m; ncols; t; z = Array.make (ncols + 1) 0.0; basis; n_struct; art_start }
+  {
+    m;
+    ncols;
+    t;
+    z = Array.make (ncols + 1) 0.0;
+    basis;
+    art_start;
+    nz = Array.make (ncols + 1) 0;
+    pivots = 0;
+  }
 
 (* Rebuild the reduced-cost row for cost vector [c] (length ncols,
    padded with zeros) under the current basis. *)
@@ -111,6 +127,9 @@ let price tab c =
     end
   done
 
+(* Scales the pivot row densely (so every stored product is the one a
+   dense elimination computes), gathers its nonzero columns, then
+   eliminates over those columns only. *)
 let pivot tab ~row ~col =
   let pr = tab.t.(row) in
   let pv = pr.(col) in
@@ -118,39 +137,55 @@ let pivot tab ~row ~col =
      fires; it turns a silent inf/nan tableau into a hard error (N2) *)
   if abs_float pv <= 0.0 then invalid_arg "Simplex.pivot: zero pivot";
   let inv = 1.0 /. pv in
+  let nz = tab.nz and k = ref 0 in
   for j = 0 to tab.ncols do
-    pr.(j) <- pr.(j) *. inv
+    let v = pr.(j) *. inv in
+    pr.(j) <- v;
+    if not (Float.equal v 0.0) then begin
+      nz.(!k) <- j;
+      incr k
+    end
   done;
+  let k = !k in
   for i = 0 to tab.m - 1 do
     if i <> row then begin
       let r = tab.t.(i) in
       let f = r.(col) in
       if abs_float f > 0.0 then
-        for j = 0 to tab.ncols do
+        for q = 0 to k - 1 do
+          let j = nz.(q) in
           r.(j) <- r.(j) -. (f *. pr.(j))
         done
     end
   done;
   let f = tab.z.(col) in
   if abs_float f > 0.0 then
-    for j = 0 to tab.ncols do
+    for q = 0 to k - 1 do
+      let j = nz.(q) in
       tab.z.(j) <- tab.z.(j) -. (f *. pr.(j))
     done;
-  tab.basis.(row) <- col
+  tab.basis.(row) <- col;
+  tab.pivots <- tab.pivots + 1
+[@@placer_lint.hot]
 
-(* Run simplex iterations until optimal/unbounded/limit. [allowed j]
-   restricts entering columns (used to ban artificials in phase 2). *)
-let iterate ?(max_iter = 20000) tab ~allowed =
+(* Runs simplex iterations until optimal, unbounded or [max_iter].
+   Only columns [< limit] may enter: [ncols] in phase 1, [art_start]
+   in phase 2 (which bans the artificials). *)
+let iterate ~max_iter tab ~limit =
   let bland_after = 5 * (tab.m + tab.ncols) in
-  let rec go k =
-    if k >= max_iter then `Iter_limit
+  let k = ref 0 and running = ref true and status = ref `Optimal in
+  while !running do
+    if !k >= max_iter then begin
+      status := `Iter_limit;
+      running := false
+    end
     else begin
       (* entering column *)
       let enter = ref (-1) in
-      if k < bland_after then begin
+      if !k < bland_after then begin
         let best = ref (-.eps) in
-        for j = 0 to tab.ncols - 1 do
-          if allowed j && tab.z.(j) < !best then begin
+        for j = 0 to limit - 1 do
+          if tab.z.(j) < !best then begin
             best := tab.z.(j);
             enter := j
           end
@@ -159,12 +194,12 @@ let iterate ?(max_iter = 20000) tab ~allowed =
       else begin
         (* Bland: smallest index with negative reduced cost *)
         let j = ref 0 in
-        while !enter < 0 && !j < tab.ncols do
-          if allowed !j && tab.z.(!j) < -.eps then enter := !j;
+        while !enter < 0 && !j < limit do
+          if tab.z.(!j) < -.eps then enter := !j;
           incr j
         done
       end;
-      if !enter < 0 then `Optimal
+      if !enter < 0 then running := false
       else begin
         (* ratio test *)
         let row = ref (-1) and best = ref infinity in
@@ -182,20 +217,23 @@ let iterate ?(max_iter = 20000) tab ~allowed =
             end
           end
         done;
-        if !row < 0 then `Unbounded
+        if !row < 0 then begin
+          status := `Unbounded;
+          running := false
+        end
         else begin
           pivot tab ~row:!row ~col:!enter;
-          go (k + 1)
+          incr k
         end
       end
     end
-  in
-  go 0
+  done;
+  !status
+[@@placer_lint.hot]
 
-let solve ?(max_iter = 20000) (p : problem) =
-  if Array.length p.objective <> p.n_vars then
-    invalid_arg "Simplex.solve: objective size";
-  let tab = build p in
+let pivots_counter = Telemetry.Counter.make "simplex.pivots"
+
+let two_phase ~max_iter (p : problem) tab =
   let has_art = tab.ncols > tab.art_start in
   let status_phase1 =
     if not has_art then `Optimal
@@ -206,7 +244,7 @@ let solve ?(max_iter = 20000) (p : problem) =
         c1.(j) <- 1.0
       done;
       price tab c1;
-      iterate ~max_iter tab ~allowed:(fun _ -> true)
+      iterate ~max_iter tab ~limit:tab.ncols
     end
   in
   match status_phase1 with
@@ -241,8 +279,7 @@ let solve ?(max_iter = 20000) (p : problem) =
         let c2 = Array.make tab.ncols 0.0 in
         Array.blit p.objective 0 c2 0 p.n_vars;
         price tab c2;
-        let allowed j = j < tab.art_start in
-        match iterate ~max_iter tab ~allowed with
+        match iterate ~max_iter tab ~limit:tab.art_start with
         | `Iter_limit -> Iter_limit
         | `Unbounded -> Unbounded
         | `Optimal ->
@@ -257,6 +294,14 @@ let solve ?(max_iter = 20000) (p : problem) =
             done;
             Optimal { x; objective_value = !obj }
       end
+
+let solve ?(max_iter = 20000) (p : problem) =
+  if Array.length p.objective <> p.n_vars then
+    invalid_arg "Simplex.solve: objective size";
+  let tab = build p in
+  let r = two_phase ~max_iter p tab in
+  Telemetry.Counter.add pivots_counter tab.pivots;
+  r
 
 let pp_result ppf = function
   | Optimal s -> Fmt.pf ppf "optimal(%.6g)" s.objective_value

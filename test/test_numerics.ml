@@ -476,8 +476,12 @@ let opt_tests =
         checkf ~eps:1e-2 "p1" (-2.0) params.(1));
   ]
 
-let lp c = { Sx.coeffs = c.Sx.coeffs; op = c.Sx.op; rhs = c.Sx.rhs }
-let _ = lp
+(* [Sx.solve] against a fresh collector, with the pivot count it
+   published (phase 1, drive-out and phase 2 together) *)
+let solve_counting ?max_iter p =
+  Telemetry.reset ();
+  let r = Sx.solve ?max_iter p in
+  (r, Telemetry.Counter.value (Telemetry.Counter.make "simplex.pivots"))
 
 let simplex_tests =
   [
@@ -495,12 +499,14 @@ let simplex_tests =
               ];
           }
         in
-        match Sx.solve p with
-        | Sx.Optimal s ->
+        match solve_counting p with
+        | Sx.Optimal s, pivots ->
             checkf "obj" (-36.0) s.Sx.objective_value;
             checkf "x" 2.0 s.Sx.x.(0);
-            checkf "y" 6.0 s.Sx.x.(1)
-        | r -> Alcotest.failf "unexpected %a" Sx.pp_result r);
+            checkf "y" 6.0 s.Sx.x.(1);
+            (* y enters on row 2, then x on row 3; no artificials *)
+            Alcotest.(check int) "simplex.pivots" 2 pivots
+        | r, _ -> Alcotest.failf "unexpected %a" Sx.pp_result r);
     Alcotest.test_case "equality and >= constraints (two-phase)" `Quick
       (fun () ->
         (* min x + 2y st x + y = 10; x >= 3 -> (10,0)? obj x+2y minimized:
@@ -600,14 +606,17 @@ let simplex_tests =
               ];
           }
         in
-        match Sx.solve ~max_iter:10_000 p with
-        | Sx.Optimal s ->
+        match solve_counting ~max_iter:10_000 p with
+        | Sx.Optimal s, pivots ->
             checkf "obj" (-0.05) s.Sx.objective_value;
             checkf "x1" 0.04 s.Sx.x.(0);
             checkf "x2" 0.0 s.Sx.x.(1);
             checkf "x3" 1.0 s.Sx.x.(2);
-            checkf "x4" 0.0 s.Sx.x.(3)
-        | r -> Alcotest.failf "unexpected %a" Sx.pp_result r);
+            checkf "x4" 0.0 s.Sx.x.(3);
+            (* 5 (m + ncols) = 50 cycling Dantzig pivots, then Bland's
+               rule reaches the optimum in 4 *)
+            Alcotest.(check int) "simplex.pivots" 54 pivots
+        | r, _ -> Alcotest.failf "unexpected %a" Sx.pp_result r);
   ]
 
 let ilp_tests =
@@ -701,24 +710,55 @@ let ilp_tests =
         checkf "b" 0.0 r.I.x.(1));
   ]
 
-(* Property: simplex optimum never violates constraints. *)
+(* Property: a simplex optimum satisfies every row under its own
+   operator, and x >= 0. Rows of all three operators with signed
+   right-hand sides over up to 8 variables make phase 1 do most of the
+   pivots, as in detailed placement. Half the LPs plant a nonnegative
+   point that satisfies every row, and half carry a bounding row, so
+   many reach an optimum. *)
 let prop_simplex_feasible =
   let gen =
     QCheck2.Gen.(
+      int_range 1 8 >>= fun n ->
       let coef = float_range (-3.0) 3.0 in
-      let pos = float_range 0.5 10.0 in
-      map
-        (fun ((c1, c2), rows) ->
-          let constraints =
-            List.map
-              (fun (a, b, r) ->
-                { Sx.coeffs = [ (0, a); (1, b) ]; op = Sx.Le; rhs = r })
-              rows
-          in
-          { Sx.n_vars = 2; objective = [| c1; c2 |]; constraints })
-        (pair (pair coef coef) (list_size (int_range 1 6) (triple coef coef pos))))
+      let row =
+        quad (list_repeat n (opt coef)) (oneofl [ Sx.Le; Sx.Ge; Sx.Eq ])
+          (float_range 0.0 2.0) (float_range (-10.0) 10.0)
+      in
+      quad (array_repeat n coef)
+        (opt (array_repeat n (float_range 0.0 3.0)))
+        (list_size (int_range 1 8) row) bool
+      |> map (fun (objective, x0, rows, bounded) ->
+             let constr (cs, op, slack, free) =
+               let coeffs =
+                 List.filter_map Fun.id
+                   (List.mapi (fun j c -> Option.map (fun a -> (j, a)) c) cs)
+               in
+               let rhs =
+                 match x0 with
+                 | None -> free
+                 | Some x0 -> (
+                     let lhs =
+                       List.fold_left
+                         (fun acc (j, a) -> acc +. (a *. x0.(j)))
+                         0.0 coeffs
+                     in
+                     match op with
+                     | Sx.Le -> lhs +. slack
+                     | Sx.Ge -> lhs -. slack
+                     | Sx.Eq -> lhs)
+               in
+               { Sx.coeffs; op; rhs }
+             in
+             let bound =
+               { Sx.coeffs = List.init n (fun j -> (j, 1.0)); op = Sx.Le;
+                 rhs = Float.of_int (4 * n) }
+             in
+             let constraints = List.map constr rows in
+             { Sx.n_vars = n; objective;
+               constraints = (if bounded then bound :: constraints else constraints) }))
   in
-  QCheck2.Test.make ~name:"simplex optimum is feasible" ~count:300 gen
+  QCheck2.Test.make ~name:"simplex optimum is feasible" ~count:500 gen
     (fun p ->
       match Sx.solve p with
       | Sx.Optimal s ->
@@ -729,7 +769,10 @@ let prop_simplex_feasible =
                   (fun acc (j, a) -> acc +. (a *. s.Sx.x.(j)))
                   0.0 c.Sx.coeffs
               in
-              lhs <= c.Sx.rhs +. 1e-6)
+              match c.Sx.op with
+              | Sx.Le -> lhs <= c.Sx.rhs +. 1e-6
+              | Sx.Ge -> lhs >= c.Sx.rhs -. 1e-6
+              | Sx.Eq -> abs_float (lhs -. c.Sx.rhs) <= 1e-6)
             p.Sx.constraints
           && Array.for_all (fun v -> v >= -1e-9) s.Sx.x
       | Sx.Unbounded | Sx.Infeasible | Sx.Iter_limit -> true)
