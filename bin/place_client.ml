@@ -1,17 +1,13 @@
-(* place-client — client and load generator for the placement service.
+(* place-client — client for the placement service.
 
      place-client --ping
      place-client -c CC-OTA -p eplace                 # one job, print result
      place-client -c CC-OTA -p sa --moves 120000 --stream
-     place-client --bench 40 --distinct 4 --out BENCH_serve.json
      place-client --stats
      place-client --shutdown
 
-   Bench mode measures the service end to end: it submits N jobs
-   cycling through K distinct (circuit, seed) combinations — so a warm
-   cache should serve roughly (N - K)/N of them — and reports jobs/s,
-   p50/p99 latency and the cache hit rate, both as observed per-result
-   and as counted by the server. *)
+   The service's throughput and latency are measured by perfbench's
+   [service] workload, not here. *)
 
 module M = Experiments.Methods
 
@@ -145,88 +141,10 @@ let print_result j =
            (Option.bind (Jsonio.member "error" j) Jsonio.to_str));
       1
 
-(* ---------- bench mode ---------- *)
-
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then Float.nan
-  else sorted.(min (n - 1) (int_of_float (p *. float_of_int (n - 1))))
-
-let cache_counter stats_j field =
-  match Jsonio.member "cache" stats_j with
-  | Some c ->
-      Option.value ~default:0 (Option.bind (Jsonio.member field c) Jsonio.to_int)
-  | None -> 0
-
-let run_bench ic oc ~n ~distinct ~circuits ~kind ~perf ~moves ~out =
-  let distinct = max 1 distinct in
-  let get_stats () =
-    send oc (req [ ("op", j_str "stats") ]);
-    recv ic
-  in
-  let before = get_stats () in
-  let latencies = Array.make n 0.0 in
-  let cached_seen = ref 0 and failed = ref 0 in
-  let t0 = Telemetry.now () in
-  for i = 0 to n - 1 do
-    let v = i mod distinct in
-    let circuit = List.nth circuits (v mod List.length circuits) in
-    let seed = 1 + (v / List.length circuits) in
-    let spec = spec_json_of_flags kind perf moves seed 0 in
-    let id = Printf.sprintf "bench-%d" i in
-    let t = Telemetry.now () in
-    send oc
-      (place_req ~id ~circuit ~spec ~stream:false ~layout:false ~deadline:None);
-    let r = await_result ic ~id ~echo:false in
-    latencies.(i) <- Telemetry.now () -. t;
-    (match Option.bind (Jsonio.member "ok" r) Jsonio.to_bool with
-     | Some true ->
-         if
-           Option.value ~default:false
-             (Option.bind (Jsonio.member "cached" r) Jsonio.to_bool)
-         then incr cached_seen
-     | _ -> incr failed)
-  done;
-  let wall = Telemetry.now () -. t0 in
-  let after = get_stats () in
-  let hits = cache_counter after "hits" - cache_counter before "hits" in
-  let misses = cache_counter after "misses" - cache_counter before "misses" in
-  Array.sort Float.compare latencies;
-  let fn = float_of_int n in
-  let report =
-    Jsonio.Obj
-      [
-        ("bench", j_str "serve");
-        ("jobs", j_int n);
-        ("distinct_specs", j_int distinct);
-        ("circuits", Jsonio.Arr (List.map j_str circuits));
-        ("failed", j_int !failed);
-        ("wall_s", j_num wall);
-        ("jobs_per_s", j_num (fn /. Float.max 1e-9 wall));
-        ("p50_ms", j_num (1000.0 *. percentile latencies 0.50));
-        ("p99_ms", j_num (1000.0 *. percentile latencies 0.99));
-        ("max_ms", j_num (1000.0 *. percentile latencies 1.0));
-        ("cache_hit_rate", j_num (float_of_int !cached_seen /. fn));
-        ("server_hits", j_int hits);
-        ("server_misses", j_int misses);
-      ]
-  in
-  let text = Jsonio.to_string (Jsonio.sorted report) in
-  (match out with
-   | None -> ()
-   | Some f ->
-       let och = open_out f in
-       output_string och text;
-       output_char och '\n';
-       close_out och;
-       Fmt.pr "wrote %s@." f);
-  Fmt.pr "%s@." text;
-  if !failed > 0 then 1 else 0
-
 (* ---------- driver ---------- *)
 
-let run_cmd socket ping stats shutdown bench distinct out circuit circuits_opt
-    kind perf moves seed restarts stream deadline no_layout =
+let run_cmd socket ping stats shutdown circuit kind perf moves seed restarts
+    stream deadline no_layout =
   let ic, oc = connect socket in
   if ping then begin
     send oc (req [ ("op", j_str "ping") ]);
@@ -244,20 +162,13 @@ let run_cmd socket ping stats shutdown bench distinct out circuit circuits_opt
     Fmt.pr "%s@." (Jsonio.to_string (recv ic));
     0
   end
-  else
-    match bench with
-    | Some n ->
-        let circuits =
-          match circuits_opt with Some l -> l | None -> [ circuit ]
-        in
-        run_bench ic oc ~n ~distinct ~circuits ~kind ~perf ~moves ~out
-    | None ->
-        let spec = spec_json_of_flags kind perf moves seed restarts in
-        let id = "cli" in
-        send oc
-          (place_req ~id ~circuit ~spec ~stream ~layout:(not no_layout)
-             ~deadline);
-        print_result (await_result ic ~id ~echo:stream)
+  else begin
+    let spec = spec_json_of_flags kind perf moves seed restarts in
+    let id = "cli" in
+    send oc
+      (place_req ~id ~circuit ~spec ~stream ~layout:(not no_layout) ~deadline);
+    print_result (await_result ic ~id ~echo:stream)
+  end
 
 open Cmdliner
 
@@ -271,31 +182,9 @@ let stats_arg = Arg.(value & flag & info [ "stats" ] ~doc:"Print server stats.")
 let shutdown_arg =
   Arg.(value & flag & info [ "shutdown" ] ~doc:"Ask the server to shut down.")
 
-let bench_arg =
-  Arg.(value & opt (some int) None
-       & info [ "bench" ] ~docv:"N"
-           ~doc:"Load-generator mode: submit $(docv) jobs and report \
-                 throughput/latency/cache stats.")
-
-let distinct_arg =
-  Arg.(value & opt int 4
-       & info [ "distinct" ] ~docv:"K"
-           ~doc:"Bench mode: number of distinct (circuit, seed) jobs the \
-                 load cycles through.")
-
-let out_arg =
-  Arg.(value & opt (some string) None
-       & info [ "o"; "out" ] ~docv:"FILE"
-           ~doc:"Bench mode: also write the JSON report to $(docv).")
-
 let circuit_arg =
   Arg.(value & opt string "CC-OTA"
        & info [ "c"; "circuit" ] ~docv:"NAME" ~doc:"Benchmark circuit name.")
-
-let circuits_arg =
-  Arg.(value & opt (some (list string)) None
-       & info [ "circuits" ] ~docv:"A,B,..."
-           ~doc:"Bench mode: circuits the load cycles through.")
 
 let placer_conv = Arg.enum (List.map (fun k -> (M.to_string k, k)) M.all)
 
@@ -337,13 +226,12 @@ let no_layout_arg =
        & info [ "no-layout" ] ~doc:"Do not request the placed layout text.")
 
 let cmd =
-  let doc = "client and load generator for the placement service" in
+  let doc = "client for the placement service" in
   Cmd.v
     (Cmd.info "place-client" ~doc)
     Term.(
       const run_cmd $ socket_arg $ ping_arg $ stats_arg $ shutdown_arg
-      $ bench_arg $ distinct_arg $ out_arg $ circuit_arg $ circuits_arg
-      $ placer_arg $ perf_arg $ moves_arg $ seed_arg $ restarts_arg
-      $ stream_arg $ deadline_arg $ no_layout_arg)
+      $ circuit_arg $ placer_arg $ perf_arg $ moves_arg $ seed_arg
+      $ restarts_arg $ stream_arg $ deadline_arg $ no_layout_arg)
 
 let () = exit (Cmd.eval' cmd)
