@@ -7,7 +7,6 @@ type t = { fx : bool; fy : bool }
 
 let identity = { fx = false; fy = false }
 let flip_x o = { o with fx = not o.fx }
-let flip_y o = { o with fy = not o.fy }
 let make ~fx ~fy = { fx; fy }
 let equal a b = a.fx = b.fx && a.fy = b.fy
 

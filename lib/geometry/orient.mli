@@ -9,7 +9,6 @@ type t = { fx : bool; fy : bool }
 val identity : t
 val make : fx:bool -> fy:bool -> t
 val flip_x : t -> t
-val flip_y : t -> t
 val equal : t -> t -> bool
 
 val all : t list

@@ -22,14 +22,6 @@ let center r = Point.make (0.5 *. (r.x0 +. r.x1)) (0.5 *. (r.y0 +. r.y1))
 let lower_left r = Point.make r.x0 r.y0
 let upper_right r = Point.make r.x1 r.y1
 
-let translate r (d : Point.t) =
-  { x0 = r.x0 +. d.Point.x; y0 = r.y0 +. d.Point.y;
-    x1 = r.x1 +. d.Point.x; y1 = r.y1 +. d.Point.y }
-
-let contains_point ?(eps = 0.0) r (p : Point.t) =
-  p.Point.x >= r.x0 -. eps && p.Point.x <= r.x1 +. eps
-  && p.Point.y >= r.y0 -. eps && p.Point.y <= r.y1 +. eps
-
 let contains ?(eps = 0.0) ~outer inner =
   inner.x0 >= outer.x0 -. eps && inner.x1 <= outer.x1 +. eps
   && inner.y0 >= outer.y0 -. eps && inner.y1 <= outer.y1 +. eps

@@ -18,9 +18,7 @@ val area : t -> float
 val center : t -> Point.t
 val lower_left : t -> Point.t
 val upper_right : t -> Point.t
-val translate : t -> Point.t -> t
 
-val contains_point : ?eps:float -> t -> Point.t -> bool
 val contains : ?eps:float -> outer:t -> t -> bool
 (** [contains ~outer inner] tests whether [inner] lies within [outer]. *)
 

@@ -31,12 +31,6 @@ let make ?(sym_groups = []) ?(aligns = []) ?(orders = []) () =
 let sym_devices g =
   List.concat_map (fun (a, b) -> [ a; b ]) g.pairs @ g.selfs
 
-let all_constrained_devices t =
-  let of_groups = List.concat_map sym_devices t.sym_groups in
-  let of_aligns = List.concat_map (fun a -> [ a.a; a.b ]) t.aligns in
-  let of_orders = List.concat_map (fun o -> o.chain) t.orders in
-  List.sort_uniq compare (of_groups @ of_aligns @ of_orders)
-
 (* Devices appearing in some symmetric pair, as (a,b) with a < b. *)
 let matched_pairs t =
   List.concat_map

@@ -36,7 +36,6 @@ val make :
   ?orders:order_chain list -> unit -> t
 
 val sym_devices : sym_group -> int list
-val all_constrained_devices : t -> int list
 
 val matched_pairs : t -> (int * int) list
 (** Symmetric device pairs, normalised to [a < b], deduplicated; these

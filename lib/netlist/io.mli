@@ -5,14 +5,12 @@
 exception Parse_error of int * string
 (** Raised with (line number, message) on malformed input. *)
 
-val write_circuit : Format.formatter -> Circuit.t -> unit
 val circuit_to_string : Circuit.t -> string
 
 val parse_circuit : string -> Circuit.t
 (** @raise Parse_error on malformed text.
     @raise Invalid_argument if the assembled circuit fails validation. *)
 
-val write_placement : Format.formatter -> Layout.t -> unit
 val placement_to_string : Layout.t -> string
 
 val parse_placement : Circuit.t -> string -> Layout.t

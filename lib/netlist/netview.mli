@@ -18,10 +18,6 @@ val n_nets : t -> int
 val nets_of_device : t -> int -> int array
 (** Ids of nets incident to the device, ascending, deduplicated. *)
 
-val devices_of_net : t -> int -> int array
-(** Ids of devices touched by the net, ascending, deduplicated (a net
-    may reach the same device through several pins). *)
-
 val degree : t -> int -> int
 (** Terminal count of the net (counting duplicate devices). *)
 

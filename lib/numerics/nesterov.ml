@@ -58,10 +58,8 @@ let create ?(alpha0 = None) ~x0 ~grad () =
   }
 
 let x t = t.v
-let lookahead t = t.u
 let gradient t = t.g_u
 let iteration t = t.iter
-let steplength t = t.alpha
 
 let step t =
   Telemetry.Counter.incr steps_counter;

@@ -24,12 +24,10 @@ val step : t -> unit
 val x : t -> float array
 (** Current major solution v_k. *)
 
-val lookahead : t -> float array
 val gradient : t -> float array
 (** Gradient at the current lookahead point. *)
 
 val iteration : t -> int
-val steplength : t -> float
 
 val minimize :
   ?alpha0:float ->

@@ -214,14 +214,3 @@ let default () =
   in
   Mutex.unlock default_lock;
   p
-
-let default_jobs () =
-  Mutex.lock default_lock;
-  let n =
-    match (!default_pool, !configured_jobs) with
-    | Some p, _ -> p.n_jobs
-    | None, Some j -> j
-    | None, None -> Domain.recommended_domain_count ()
-  in
-  Mutex.unlock default_lock;
-  n

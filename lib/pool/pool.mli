@@ -77,6 +77,3 @@ val set_default_jobs : int -> unit
 val default : unit -> t
 (** The default pool, created on first use with the configured size
     (initially [Domain.recommended_domain_count ()]). *)
-
-val default_jobs : unit -> int
-(** Size of {!default} without forcing its creation. *)

@@ -75,11 +75,6 @@ let steiner_length (pins : Geometry.Point.t array) =
     else Float.max (0.85 *. t.length) 0.0
   end
 
-(* Route every net of a layout. *)
-let route_net (l : Netlist.Layout.t) (e : Netlist.Net.t) =
-  let pins = Array.map (Netlist.Layout.pin_position l) e.Netlist.Net.terminals in
-  mst pins
-
 let net_length (l : Netlist.Layout.t) (e : Netlist.Net.t) =
   let pins = Array.map (Netlist.Layout.pin_position l) e.Netlist.Net.terminals in
   steiner_length pins

@@ -15,5 +15,4 @@ val mst : Geometry.Point.t array -> tree
 val steiner_length : Geometry.Point.t array -> float
 (** RSMT length estimate: exact HPWL for 2-3 pins, scaled MST above. *)
 
-val route_net : Netlist.Layout.t -> Netlist.Net.t -> tree
 val net_length : Netlist.Layout.t -> Netlist.Net.t -> float
