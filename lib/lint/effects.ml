@@ -338,21 +338,19 @@ let rec head_path (e : Typedtree.expression) =
   | _ -> None
 
 (* Topmost lambdas of a composite task expression such as
-   [List.init n (fun i () -> ...)] — each is a task closure. *)
-let collect_lambdas e0 =
-  let out = ref [] in
-  let it =
-    {
-      Tast_iterator.default_iterator with
-      expr =
-        (fun sub e ->
-          match e.exp_desc with
-          | Texp_function _ -> out := e :: !out
-          | _ -> Tast_iterator.default_iterator.expr sub e);
-    }
+   [List.init n (fun i () -> ...)] — each is a task closure. Folding
+   [b_lambdas] (last first) from the right meets an enclosing lambda
+   before the lambdas inside it. *)
+let topmost_lambdas b (task : Typedtree.expression) =
+  let inside (o : Typedtree.expression) (l : Typedtree.expression) =
+    loc_within o.exp_loc l.exp_loc
   in
-  it.expr it e0;
-  List.rev !out
+  List.fold_right
+    (fun (lam, _) kept ->
+      if inside task lam && not (List.exists (fun k -> inside k lam) kept)
+      then lam :: kept
+      else kept)
+    b.b_lambdas []
 
 let find_summary eng key = SMap.find_opt key !(eng.eg_sums)
 
@@ -852,7 +850,8 @@ let check_site eng emit queue st =
               | None -> ()))
       | _ ->
           (* composite: e.g. thunk lists built with List.init/List.map *)
-          List.iter (analyze_task eng st emit queue) (collect_lambdas task))
+          List.iter (analyze_task eng st emit queue)
+            (topmost_lambdas st.st_body task))
 
 (* ----- driver ----- *)
 
