@@ -196,22 +196,13 @@ let perf_ensemble ~name ~restarts ~alpha ~quick place_seed =
       | Some layout -> Some (layout, Telemetry.now () -. t0)
       | None -> None)
 
-let eplace_a ?(params = Eplace.Eplace_a.default_params) () =
-  instrumented ~name:"ePlace-A" (fun c ->
-      match Eplace.Eplace_a.place ~params c with
-      | Some r ->
-          Some (r.Eplace.Eplace_a.layout, r.Eplace.Eplace_a.runtime_s)
-      | None -> None)
-
 (* ---------- the serializable job spec ---------- *)
 
 (* [spec] is the single construction point for every run the repo
    builds (tables, CLI, bench, the placement service): a pure record
    with a canonical JSON form, so a placement request can be shipped
    over a socket, logged, diffed, and content-hashed for the service's
-   result cache. [of_spec] owns every runner body; [eplace_a ~params]
-   is the one constructor outside it, for callers that need a full
-   engine parameter record. *)
+   result cache. [of_spec] owns every runner body. *)
 
 (* Versioned per-family parameter block ("params" in the JSON form,
    carrying ["v"]: 1). Families without knobs beyond the common spec
@@ -348,7 +339,12 @@ let of_spec (s : spec) =
         let d = E.default_params in
         { d with E.restarts; gp = { d.E.gp with Eplace.Gp_params.seed } }
       in
-      if not s.perf then eplace_a ~params:(with_seed s.restarts s.seed) ()
+      if not s.perf then
+        let params = with_seed s.restarts s.seed in
+        instrumented ~name:"ePlace-A" (fun c ->
+            Option.map
+              (fun (r : E.result) -> (r.E.layout, r.E.runtime_s))
+              (E.place ~params c))
       else
         perf_ensemble ~name:"ePlace-AP" ~restarts:s.restarts ~alpha:s.alpha
           ~quick:s.quick (fun hook k c ->

@@ -50,11 +50,8 @@ type outcome = {
 }
 
 (** A runnable method. The record is private: callers read the fields
-    but construction is confined to this module — {!of_spec} for
-    everything spec-expressible, plus the {!eplace_a} escape hatch
-    taking a full engine parameter record. A [t] can therefore always
-    be traced to one construction point, and spec-built ones to a
-    serializable, hashable job. *)
+    but {!of_spec} is the only constructor, so every [t] can be traced
+    to a serializable, hashable job. *)
 type t = private {
   method_name : string;
   run : Netlist.Circuit.t -> outcome option;
@@ -81,8 +78,7 @@ val template_default_moves : int
     knob the tables, the CLI and the placement service vary, has a
     canonical JSON encoding, and content-hashes stably (field order in
     a client's JSON does not change the hash). [of_spec] is the single
-    construction point; only the {!eplace_a} escape hatch bypasses
-    it.
+    construction point.
 
     Family-specific knobs beyond the common fields live in the
     versioned [params] block ({!family_params}); families without any
@@ -149,11 +145,3 @@ val spec_canonical : spec -> string
 val spec_hash : spec -> string
 (** Hex digest of {!spec_canonical}; the spec component of the
     service's (netlist, constraints, spec) cache key. *)
-
-(** {2 Escape hatch} *)
-
-val eplace_a : ?params:Eplace.Eplace_a.params -> unit -> t
-(** Conventional ePlace-A from a full engine parameter record — the one
-    constructor outside {!of_spec}, for callers that vary engine knobs
-    no spec field carries (the scaling study, the pool and telemetry
-    tests). Prefer {!of_spec} everywhere else. *)

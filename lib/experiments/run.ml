@@ -582,22 +582,19 @@ let scaling cfg =
             { (Methods.default_spec Methods.Sa) with
               Methods.moves = min cfg.sa_moves (40_000 * n) }
         in
-        let ep =
-          Methods.eplace_a
-            ~params:
-              { (eplace_params cfg) with
-                Eplace.Eplace_a.restarts = 1; dp_passes = 1 }
-            ()
-        in
-        let run (m : Methods.t) =
-          match m.Methods.run c with
+        let sa_a, sa_w, sa_t =
+          match sa.Methods.run c with
           | Some o ->
               let a, w = area_hpwl o.Methods.layout in
               (a, w, o.Methods.runtime_s)
           | None -> (nan, nan, nan)
         in
-        let sa_a, sa_w, sa_t = run sa in
-        let ep_a, ep_w, ep_t = run ep in
+        let ep_a, ep_w, ep_t =
+          eplace_run
+            { (eplace_params cfg) with
+              Eplace.Eplace_a.restarts = 1; dp_passes = 1 }
+            c
+        in
         [ string_of_int stages; string_of_int n;
           TF.f1 sa_a; TF.f1 sa_w; TF.f2 sa_t;
           TF.f1 ep_a; TF.f1 ep_w; TF.f2 ep_t;

@@ -158,22 +158,22 @@ let spec_tests =
         | Error _ -> ());
     Alcotest.test_case "of_spec matches the optional-arg constructors" `Quick
       (fun () ->
-        (* the spec path must be a pure re-plumbing: same method name,
-           and same layout on a real circuit *)
+        (* the spec path must be a pure re-plumbing of the engine: the
+           ePlace-A name, and the same layout on a real circuit as
+           Eplace_a.place at its default parameters *)
         let c = Circuits.Testcases.get_exn "CC-OTA" in
         let via_spec =
           M.of_spec { (M.default_spec M.Eplace) with M.quick = true }
         in
-        let direct = M.eplace_a () in
-        Alcotest.(check string) "name" direct.M.method_name
-          via_spec.M.method_name;
-        match (via_spec.M.run c, direct.M.run c) with
+        Alcotest.(check string) "name" "ePlace-A" via_spec.M.method_name;
+        match (via_spec.M.run c, Eplace.Eplace_a.place c) with
         | Some a, Some b ->
+            let direct = b.Eplace.Eplace_a.layout in
             Alcotest.(check (float 0.0)) "same area"
-              (Netlist.Layout.area b.M.layout)
+              (Netlist.Layout.area direct)
               (Netlist.Layout.area a.M.layout);
             Alcotest.(check (float 0.0)) "same hpwl"
-              (Netlist.Layout.hpwl b.M.layout)
+              (Netlist.Layout.hpwl direct)
               (Netlist.Layout.hpwl a.M.layout)
         | _ -> Alcotest.fail "a placement failed");
   ]

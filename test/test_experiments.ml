@@ -83,10 +83,6 @@ let method_tests =
     Alcotest.test_case "method wrappers run and produce legal layouts" `Slow
       (fun () ->
         let c = Circuits.Testcases.get_exn "CC-OTA" in
-        let fast_eplace =
-          { Eplace.Eplace_a.default_params with
-            Eplace.Eplace_a.restarts = 1; dp_passes = 1 }
-        in
         List.iter
           (fun (m : Me.t) ->
             match m.Me.run c with
@@ -97,7 +93,7 @@ let method_tests =
             | None -> Alcotest.failf "%s failed" m.Me.method_name)
           [ Me.of_spec { (Me.default_spec Me.Sa) with Me.moves = 5000 };
             Me.of_spec { (Me.default_spec Me.Prev) with Me.restarts = 1 };
-            Me.eplace_a ~params:fast_eplace () ]);
+            Me.of_spec { (Me.default_spec Me.Eplace) with Me.restarts = 1 } ]);
     Alcotest.test_case "quick fig2 ablation shows area-term benefit" `Slow
       (fun () ->
         (* the area term should not make things dramatically worse; the
@@ -139,7 +135,7 @@ let shape_tests =
       `Slow (fun () ->
         let c = Circuits.Testcases.get_exn "CC-OTA" in
         let sa = Me.of_spec { (Me.default_spec Me.Sa) with Me.moves = 150_000 } in
-        let ep = Me.eplace_a () in
+        let ep = Me.of_spec (Me.default_spec Me.Eplace) in
         match (sa.Me.run c, ep.Me.run c) with
         | Some s, Some e ->
             Alcotest.(check bool) "hpwl" true

@@ -165,11 +165,8 @@ let determinism_tests =
     Alcotest.test_case "run_method rows identical for jobs 1 and 4"
       `Quick (fun () ->
         let m =
-          Experiments.Methods.eplace_a
-            ~params:
-              { Eplace.Eplace_a.default_params with
-                Eplace.Eplace_a.restarts = 1; dp_passes = 1 }
-            ()
+          Experiments.Methods.(
+            of_spec { (default_spec Eplace) with restarts = 1 })
         in
         let names = [ "Comp1"; "Comp2" ] in
         let run jobs =

@@ -179,11 +179,8 @@ let stats_tests =
       `Quick (fun () ->
         let c = Circuits.Testcases.get_exn "Comp1" in
         let m =
-          Experiments.Methods.eplace_a
-            ~params:
-              { Eplace.Eplace_a.default_params with
-                Eplace.Eplace_a.restarts = 1; dp_passes = 1 }
-            ()
+          Experiments.Methods.(
+            of_spec { (default_spec Eplace) with restarts = 1 })
         in
         match m.Experiments.Methods.run c with
         | None -> Alcotest.fail "infeasible"
