@@ -767,10 +767,14 @@ let rec scan ctx env (e : Typedtree.expression) =
    definitions and Stdlib calls, in source order: a [let] taints its
    names when its value is [Pool.map]/[Pool.map_list] results or uses
    a tainted name, [Hashtbl.add]/[replace] taints the table it stores
-   a tainted value into, and a [Hashtbl.fold]/[iter] over a tainted
-   value whose arguments accumulate with [+.]/[-.] is a finding.
-   Taint flows forward only: a fold placed before the tainting [add]
-   stays quiet. *)
+   such a value into (the pool call itself included), and a
+   [Hashtbl.fold]/[iter] over a tainted value whose arguments
+   accumulate with [+.]/[-.] is a finding. Taint flows forward only: a
+   fold placed before the tainting [add] stays quiet. Not followed:
+   values stored through [|>]/[@@] (the type checker turns
+   [v |> Hashtbl.add tbl k] into an application of the partial call,
+   which has no call reference of its own) or through a lambda's
+   parameters. *)
 
 let rec head_call (e : Typedtree.expression) =
   match e.exp_desc with
@@ -815,12 +819,37 @@ let n4_scan ~file emit b =
         | _ -> false)
       calls
   in
+  (* [Some "Pool.map"] when [e] is a call returning pool results *)
+  let pool_results (e : Typedtree.expression) =
+    match Option.bind (head_call e) fanout_of with
+    | Some pool_fn when not (String.equal pool_fn "Pool.run_all") ->
+        Some pool_fn
+    | _ -> None
+  in
+  (* table [id] stores [values] by [h]: the first pool call or tainted
+     value among them taints the table *)
+  let store h id values loc =
+    let origin (v : Typedtree.expression) =
+      match pool_results v with
+      | Some pool_fn ->
+          Some
+            (Printf.sprintf "%s results (task order) at %s:%d" pool_fn file
+               (line v.exp_loc))
+      | None -> taint_of v
+    in
+    Option.iter
+      (fun origin ->
+        taint (Ident.unique_name id)
+          (Printf.sprintf "%s; stored into a hash table by %s at %s:%d"
+             origin h file (line loc)))
+      (List.find_map origin values)
+  in
   List.iter
     (fun (loc, ev) ->
       match ev with
       | `Let (un, rhs) -> (
-          match Option.bind (head_call rhs) fanout_of with
-          | Some pool_fn when not (String.equal pool_fn "Pool.run_all") ->
+          match pool_results rhs with
+          | Some pool_fn ->
               let name =
                 List.find_map
                   (fun o -> if String.equal o.o_un un then Some o.o_name else None)
@@ -829,17 +858,12 @@ let n4_scan ~file emit b =
               taint un
                 (Printf.sprintf "%s results (task order) bound to '%s' at %s:%d"
                    pool_fn (Option.value name ~default:un) file (line loc))
-          | _ -> Option.iter (taint un) (taint_of rhs))
+          | None -> Option.iter (taint un) (taint_of rhs))
       | `Call
           ( (("Hashtbl.add" | "Hashtbl.replace") as h),
             { Typedtree.exp_desc = Texp_ident (Path.Pident id, _, _); _ }
             :: rest ) ->
-          Option.iter
-            (fun origin ->
-              taint (Ident.unique_name id)
-                (Printf.sprintf "%s; stored into a hash table by %s at %s:%d"
-                   origin h file (line loc)))
-            (List.find_map taint_of rest)
+          store h id rest loc
       | `Call ((("Hashtbl.fold" | "Hashtbl.iter") as h), nl) -> (
           match List.find_map taint_of nl with
           | Some origin when List.exists accumulates nl ->

@@ -68,3 +68,28 @@ let fold_before_add () =
       let sums = Pool.map p (fun i -> float_of_int i) (Array.init 8 Fun.id) in
       Hashtbl.replace tbl 0 sums.(0);
       before)
+
+(* The stored value is the pool call itself, with no [let] between:
+   the table is tainted all the same. *)
+let stored_call () =
+  Pool.with_pool ~jobs:2 (fun p ->
+      let tbl = Hashtbl.create 16 in
+      Hashtbl.replace tbl 0
+        (Pool.map p (fun i -> float_of_int i) (Array.init 8 Fun.id));
+      Hashtbl.fold (fun _ v acc -> acc +. v.(0)) tbl 0.0)
+
+(* ... through Hashtbl.add, into a subtracting Hashtbl.iter *)
+let stored_call_list () =
+  Pool.with_pool ~jobs:2 (fun p ->
+      let tbl = Hashtbl.create 16 in
+      Hashtbl.add tbl 0 (Pool.map_list p (fun i -> float_of_int i) [ 1; 2 ]);
+      let total = ref 0.0 in
+      Hashtbl.iter (fun _ v -> total := !total -. List.hd v) tbl;
+      !total)
+
+(* a direct Pool.run_all call stores unit: no N4 (D3 only) *)
+let stored_run_all () =
+  Pool.with_pool ~jobs:2 (fun p ->
+      let tbl = Hashtbl.create 4 in
+      Hashtbl.add tbl 0 (Pool.run_all p [ (fun () -> ()) ]);
+      Hashtbl.fold (fun _ () acc -> acc +. 1.0) tbl 0.0)
