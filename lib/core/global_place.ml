@@ -56,13 +56,6 @@ let make_terms (p : Gp_params.t) c =
     region;
   }
 
-let fill_rects ts rects ~xs ~ys =
-  for i = 0 to Array.length xs - 1 do
-    rects.(i) <-
-      Geometry.Rect.of_center ~cx:xs.(i) ~cy:ys.(i) ~w:ts.widths.(i)
-        ~h:ts.heights.(i)
-  done
-
 let clamp_into ts ~xs ~ys =
   let r = ts.region in
   for i = 0 to Array.length xs - 1 do
@@ -105,7 +98,6 @@ let run ?(params = Gp_params.default) ?perf (c : Netlist.Circuit.t) =
   let gx = Array.make n 0.0 and gy = Array.make n 0.0 in
   let gxw = Array.make n 0.0 and gyw = Array.make n 0.0 in
   let gxd = Array.make n 0.0 and gyd = Array.make n 0.0 in
-  let rects = Array.make n ts.region in
   (* copy v's halves into xs/ys, clamped into the region *)
   let load v =
     Array.blit v 0 xs 0 n;
@@ -158,16 +150,11 @@ let run ?(params = Gp_params.default) ?perf (c : Netlist.Circuit.t) =
         ignore (pt.phi_grad ~xs ~ys ~gx ~gy)
   in
   let density_grad ~xs ~ys ~gx ~gy =
-    fill_rects ts rects ~xs ~ys;
-    Density.Electrostatic.compute ts.es rects;
+    Density.Electrostatic.density_grad ts.es ~xs ~ys ~widths:ts.widths
+      ~heights:ts.heights ~gx ~gy;
     overflow :=
       Density.Electrostatic.overflow ts.es ~target:p.Gp_params.target_density
-        ~total_area:ts.total_area;
-    for i = 0 to n - 1 do
-      let dgx, dgy = Density.Electrostatic.grad ts.es rects.(i) in
-      gx.(i) <- dgx;
-      gy.(i) <- dgy
-    done
+        ~total_area:ts.total_area
   in
   (* lambda0 from force balance at the initial point *)
   let () =

@@ -6,13 +6,24 @@ type t
 
 val create : region:Geometry.Rect.t -> nx:int -> ny:int -> t
 
+val density_grad :
+  t ->
+  xs:float array -> ys:float array ->
+  widths:float array -> heights:float array ->
+  gx:float array -> gy:float array ->
+  unit
+(** Rebuild the density map from device centres and extents, solve for
+    the field and write each device's energy gradient (as [grad]) to
+    [gx.(i)], [gy.(i)]. *)
+
 val compute : t -> Geometry.Rect.t array -> unit
 (** Rebuild the density map from device rectangles and solve for the
-    potential and field. Must be called before [energy]/[grad]. *)
+    field. Must be called before [energy]/[grad]. *)
 
 val energy : t -> Geometry.Rect.t array -> float
 (** N(v) = 1/2 sum_i q_i psi(cell_i), the smoothed-overlap objective
-    term. *)
+    term; the potential is synthesised on the first call after a
+    solve. *)
 
 val grad : t -> Geometry.Rect.t -> float * float
 (** Gradient of the energy w.r.t. one device's centre coordinates (in

@@ -6,12 +6,14 @@
 type t = {
   grad : float array -> float array -> unit;
   dim : int;
+  (* the current iterate; [step] writes the next one into the
+     [*_next] buffers, then swaps them in *)
   mutable v : float array;  (* major solution v_k *)
-  mutable v_prev : float array;
   mutable u : float array;  (* lookahead u_k *)
   mutable g_u : float array;  (* gradient at u_k *)
-  mutable u_ref : float array;  (* previous lookahead, for Lipschitz *)
-  mutable g_ref : float array;
+  mutable v_next : float array;
+  mutable u_next : float array;
+  mutable g_next : float array;
   mutable a : float;  (* momentum parameter a_k *)
   mutable alpha : float;  (* current steplength *)
   mutable iter : int;
@@ -47,11 +49,11 @@ let create ?(alpha0 = None) ~x0 ~grad () =
     grad;
     dim;
     v = Array.copy x0;
-    v_prev = Array.copy x0;
     u;
     g_u;
-    u_ref = Array.copy u;
-    g_ref = Array.copy g_u;
+    v_next = Array.make dim 0.0;
+    u_next = Array.make dim 0.0;
+    g_next = Array.make dim 0.0;
     a = 1.0;
     alpha;
     iter = 0;
@@ -65,37 +67,47 @@ let step t =
   Telemetry.Counter.incr steps_counter;
   let a_next = 0.5 *. (1.0 +. sqrt ((4.0 *. t.a *. t.a) +. 1.0)) in
   let coef = (t.a -. 1.0) /. a_next in
-  let v_new = Array.make t.dim 0.0 in
-  let u_new = Array.make t.dim 0.0 in
-  let g_new = Array.make t.dim 0.0 in
-  let rec attempt tries alpha =
+  let v = t.v and u = t.u and g_u = t.g_u in
+  let v_new = t.v_next and u_new = t.u_next and g_new = t.g_next in
+  (* backtracking: retry with the predicted steplength while it falls
+     below 0.95 of the one tried, at most three times *)
+  let alpha = ref t.alpha and alpha_next = ref t.alpha and tries = ref 0 in
+  let retry = ref true in
+  while !retry do
     for i = 0 to t.dim - 1 do
-      v_new.(i) <- t.u.(i) -. (alpha *. t.g_u.(i));
-      u_new.(i) <- v_new.(i) +. (coef *. (v_new.(i) -. t.v.(i)))
+      v_new.(i) <- u.(i) -. (!alpha *. g_u.(i));
+      u_new.(i) <- v_new.(i) +. (coef *. (v_new.(i) -. v.(i)))
     done;
     t.grad u_new g_new;
     let alpha_hat =
-      lipschitz_alpha ~u1:u_new ~g1:g_new ~u0:t.u ~g0:t.g_u ~fallback:alpha
+      lipschitz_alpha ~u1:u_new ~g1:g_new ~u0:u ~g0:g_u ~fallback:!alpha
     in
-    if alpha_hat < 0.95 *. alpha && tries < 3 then attempt (tries + 1) alpha_hat
-    else (alpha, alpha_hat)
-  in
-  let _used, alpha_next = attempt 0 t.alpha in
+    if alpha_hat < 0.95 *. !alpha && !tries < 3 then begin
+      incr tries;
+      alpha := alpha_hat
+    end
+    else begin
+      alpha_next := alpha_hat;
+      retry := false
+    end
+  done;
   (* Adaptive restart (O'Donoghue & Candes): when the momentum direction
      opposes the gradient, reset the momentum to kill oscillation. *)
   let progress = ref 0.0 in
   for i = 0 to t.dim - 1 do
-    progress := !progress +. (g_new.(i) *. (v_new.(i) -. t.v.(i)))
+    progress := !progress +. (g_new.(i) *. (v_new.(i) -. v.(i)))
   done;
   t.a <- (if !progress > 0.0 then 1.0 else a_next);
-  t.v_prev <- t.v;
-  t.v <- Array.copy v_new;
-  t.u_ref <- t.u;
-  t.g_ref <- t.g_u;
-  t.u <- Array.copy u_new;
-  t.g_u <- Array.copy g_new;
-  t.alpha <- alpha_next;
+  (* the new iterate becomes current; the old one is the next scratch *)
+  t.v <- v_new;
+  t.u <- u_new;
+  t.g_u <- g_new;
+  t.v_next <- v;
+  t.u_next <- u;
+  t.g_next <- g_u;
+  t.alpha <- !alpha_next;
   t.iter <- t.iter + 1
+[@@placer_lint.hot]
 
 let minimize ?alpha0 ?(max_iter = 1000) ?(gtol = 1e-8) ~x0 ~grad () =
   let t = create ?alpha0:(Option.map Option.some alpha0) ~x0 ~grad () in

@@ -19,13 +19,17 @@ val create :
 
 val step : t -> unit
 (** One accelerated iteration (one or more gradient evaluations when
-    backtracking triggers). *)
+    backtracking triggers). It allocates no arrays: the optimizer owns
+    two sets of buffers and swaps them. *)
 
 val x : t -> float array
-(** Current major solution v_k. *)
+(** Current major solution v_k. The array is the optimizer's own: a
+    caller may write into it between steps (the next step reads it),
+    but it is reused as scratch by the step after next. *)
 
 val gradient : t -> float array
-(** Gradient at the current lookahead point. *)
+(** Gradient at the current lookahead point; the same lifetime as
+    {!x}. *)
 
 val iteration : t -> int
 

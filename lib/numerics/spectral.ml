@@ -7,13 +7,18 @@
    field xi = -grad(psi) has a sin expansion along the derivative axis.
 
    A plan holds one cached FFT plan per axis (Fft.plan) and every
-   buffer of a solve, so [solve_poisson] allocates nothing:
+   buffer of a solve, so a solve allocates nothing:
    - analysis: a DCT-II along each row, then along each column;
    - spectral scaling by 1 / (w_u^2 + w_v^2);
    - synthesis: DCT-III along both axes for psi, with a DST-III along
-     the derivative axis for xi_x and xi_y. *)
+     the derivative axis for xi_x and xi_y.
+   The field needs psi's synthesis along y only, so [solve_field] stops
+   there and [potential] finishes psi along x on request. Every line
+   transform is independent of the others, so leaving one out changes
+   no other result. *)
 
 type field = { psi : Matrix.t; ex : Matrix.t; ey : Matrix.t }
+type xi = { xi_x : Matrix.t; xi_y : Matrix.t }
 
 type t = {
   nx : int;
@@ -26,6 +31,8 @@ type t = {
   cy : float array;
   coef : float array;  (* nx * ny row-major coefficients *)
   field : field;  (* the result, overwritten by every solve *)
+  xi : xi;  (* field's ex and ey *)
+  mutable psi_done : bool;  (* psi synthesised along x for the last solve *)
 }
 
 let create ~nx ~ny =
@@ -41,6 +48,9 @@ let create ~nx ~ny =
       Array.init n (fun u -> if u = 0 then 1.0 /. fn else 2.0 /. fn) )
   in
   let wx, cx = axis nx and wy, cy = axis ny in
+  let psi = Matrix.create nx ny
+  and ex = Matrix.create nx ny
+  and ey = Matrix.create nx ny in
   {
     nx;
     ny;
@@ -51,12 +61,9 @@ let create ~nx ~ny =
     cx;
     cy;
     coef = Array.make (nx * ny) 0.0;
-    field =
-      {
-        psi = Matrix.create nx ny;
-        ex = Matrix.create nx ny;
-        ey = Matrix.create nx ny;
-      };
+    field = { psi; ex; ey };
+    xi = { xi_x = ex; xi_y = ey };
+    psi_done = false;
   }
 
 (* Forward cosine analysis into [t.coef], with orthogonality scaling,
@@ -84,8 +91,10 @@ let analyze t rho =
   analyze_into t rho;
   Matrix.init t.nx t.ny (fun u v -> t.coef.((u * t.ny) + v))
 
-let solve_poisson t rho =
+(* The field of [rho]; psi is left synthesised along y only. *)
+let solve_field t rho =
   analyze_into t rho;
+  t.psi_done <- false;
   let nx = t.nx and ny = t.ny and a = t.coef in
   let psi = Matrix.storage t.field.psi
   and ex = Matrix.storage t.field.ex
@@ -116,11 +125,27 @@ let solve_poisson t rho =
       ex.(k) <- psi.(k) *. t.wx.(u)
     done
   done;
-  (* synthesis along x: sin for xi_x, cos for psi and xi_y *)
+  (* synthesis along x: sin for xi_x, cos for xi_y *)
   for j = 0 to ny - 1 do
-    Fft.dct_iii t.plan_x psi psi ~off:j ~stride:ny;
     Fft.dst_iii t.plan_x ex ex ~off:j ~stride:ny;
     Fft.dct_iii t.plan_x ey ey ~off:j ~stride:ny
   done;
+  t.xi
+[@@placer_lint.hot]
+
+let potential t =
+  if not t.psi_done then begin
+    let psi = Matrix.storage t.field.psi in
+    for j = 0 to t.ny - 1 do
+      Fft.dct_iii t.plan_x psi psi ~off:j ~stride:t.ny
+    done;
+    t.psi_done <- true
+  end;
+  t.field.psi
+[@@placer_lint.hot]
+
+let solve_poisson t rho =
+  ignore (solve_field t rho);
+  ignore (potential t);
   t.field
 [@@placer_lint.hot]

@@ -18,6 +18,17 @@ val analyze : t -> Matrix.t -> Matrix.t
 
 type field = { psi : Matrix.t; ex : Matrix.t; ey : Matrix.t }
 
+type xi = { xi_x : Matrix.t; xi_y : Matrix.t }
+(** The field [(ex, ey)] alone. *)
+
+val solve_field : t -> Matrix.t -> xi
+(** The field of [rho], without synthesising [psi] along x: the same
+    matrices, bit for bit, as [solve_poisson]'s [ex] and [ey]. *)
+
+val potential : t -> Matrix.t
+(** The potential [psi] of the last solve, finishing its synthesis on
+    the first call after [solve_field]. *)
+
 val solve_poisson : t -> Matrix.t -> field
-(** The returned matrices belong to the plan: they stay valid until the
-    next [solve_poisson] on it. *)
+(** [solve_field] followed by [potential]. The returned matrices belong
+    to the plan: they stay valid until the next solve on it. *)
