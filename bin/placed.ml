@@ -36,9 +36,13 @@
         | {"v":1,"type":"bye"}
 
    Concurrency: one accepter (the main thread), one handler thread per
-   connection (parsing and queueing only), and a single scheduler
-   thread that runs placements — so the pool's "one fan-out at a time"
-   contract holds, and two jobs never interleave their telemetry.
+   connection, and a single scheduler thread that runs placements — so
+   the pool's "one fan-out at a time" contract holds, and two jobs
+   never interleave their telemetry. A handler parses each request,
+   computes its cache key and answers a result-cache hit itself; only
+   misses (and keys still being placed) are queued. So a hit never
+   waits behind a running placement, and may be answered before an
+   earlier miss on the same connection: clients match replies by id.
    Cancellation removes a queued job; a job already running completes
    (placements have no preemption point) and still reports its result.
    A deadline is checked when the job reaches the head of the queue:
@@ -90,15 +94,26 @@ let send_error conn ?id msg =
 
 (* ---------- jobs ---------- *)
 
-type job = {
+(* A parsed place request: everything its replies need. The spec hash
+   is computed once and serves the key, the queued line and the
+   result line. *)
+type request = {
   job_id : string;
-  circuit : Netlist.Circuit.t;
   spec : M.spec;
+  spec_hash : string;
+  hashes : string * string;  (* netlist, constraints *)
+  key : string;  (* result-cache key: the three hashes *)
+  want_layout : bool;
+  conn : conn;
+}
+
+(* A request that missed the result cache, queued for the scheduler *)
+type job = {
+  req : request;
+  circuit : Netlist.Circuit.t;
   deadline : float option;  (* absolute, on the telemetry clock *)
   submitted : float;
   stream : bool;
-  want_layout : bool;
-  conn : conn;
   mutable cancelled : bool;
 }
 
@@ -117,6 +132,10 @@ type server = {
   q_lock : Mutex.t;
   q_cond : Condition.t;
   results : placement option Cache.t;
+  hash_memo : (string, string * string) Hashtbl.t;
+      (* registry name -> its circuit's hashes, filled on the name's
+         first request; bounded by the registry's ten names *)
+  memo_lock : Mutex.t;
   tstore : Templates.Template_store.t;
       (* second cache tier: motif-keyed template families. Unlike
          [results] — keyed on whole (netlist, constraints, spec) — a
@@ -157,10 +176,17 @@ let circuit_hashes c =
   ( Digest.to_hex (Digest.string (String.concat "\n" rest)),
     Digest.to_hex (Digest.string (String.concat "\n" cs)) )
 
+let cache_key (nh, ch) spec_hash = String.concat "/" [ nh; ch; spec_hash ]
+
+let count_completed server =
+  Mutex.lock server.q_lock;
+  server.completed <- server.completed + 1;
+  Mutex.unlock server.q_lock
+
 (* ---------- the scheduler ---------- *)
 
 let run_placement (job : job) =
-  let m = M.of_spec job.spec in
+  let m = M.of_spec job.req.spec in
   match m.M.run job.circuit with
   | Some o ->
       let layout = o.M.layout in
@@ -173,11 +199,11 @@ let run_placement (job : job) =
         }
   | None -> None
 
-let result_fields (job : job) ~cached ~wait_s ~template_hits ~template_misses
-    (nh, ch) p =
+let result_fields req ~cached ~wait_s ~template_hits ~template_misses p =
+  let nh, ch = req.hashes in
   [
     ("type", j_str "result");
-    ("id", j_str job.job_id);
+    ("id", j_str req.job_id);
     ("ok", j_bool true);
     ("cached", j_bool cached);
     ("area", j_num p.p_area);
@@ -191,86 +217,90 @@ let result_fields (job : job) ~cached ~wait_s ~template_hits ~template_misses
     ("template_misses", j_int template_misses);
     ("netlist_hash", j_str nh);
     ("constraints_hash", j_str ch);
-    ("spec_hash", j_str (M.spec_hash job.spec));
+    ("spec_hash", j_str req.spec_hash);
   ]
-  @ if job.want_layout then [ ("layout", j_str p.p_layout_text) ] else []
+  @ if req.want_layout then [ ("layout", j_str p.p_layout_text) ] else []
+
+(* The reply to a request whose placement is known (computed now or
+   found cached): its result line, or the error for a cached failure. *)
+let send_result server req ~cached ~wait_s ~template_hits ~template_misses r =
+  count_completed server;
+  match r with
+  | Some p ->
+      send req.conn
+        (Jsonio.Obj
+           (result_fields req ~cached ~wait_s ~template_hits ~template_misses
+              p))
+  | None ->
+      send_error req.conn ~id:req.job_id
+        "placer returned no layout (infeasible constraints or failed \
+         legalisation)"
+
+let expired deadline now =
+  match deadline with Some d -> Float.compare now d > 0 | None -> false
 
 let process server (job : job) =
+  let req = job.req in
   let now = Telemetry.now () in
   let wait_s = now -. job.submitted in
   if job.cancelled then begin
     server.refused <- server.refused + 1;
-    send_error job.conn ~id:job.job_id "cancelled before start"
+    send_error req.conn ~id:req.job_id "cancelled before start"
+  end
+  else if expired job.deadline now then begin
+    server.refused <- server.refused + 1;
+    send_error req.conn ~id:req.job_id
+      (Printf.sprintf "deadline expired before start (queued %.2fs)" wait_s)
   end
   else
-    match job.deadline with
-    | Some d when Float.compare now d > 0 ->
-        server.refused <- server.refused + 1;
-        send_error job.conn ~id:job.job_id
-          (Printf.sprintf
-             "deadline expired before start (queued %.2fs)" wait_s)
-    | _ -> (
-        let hashes = circuit_hashes job.circuit in
-        let nh, ch = hashes in
-        let key =
-          String.concat "/" [ nh; ch; M.spec_hash job.spec ]
-        in
-        (* the scheduler runs one placement at a time, so the delta
-           between these snapshots is exactly this job's traffic *)
-        let t0 = Templates.Template_store.stats server.tstore in
-        let computed = ref false in
-        let compute () =
-          computed := true;
-          (* live per-phase telemetry: the run executes under the JSONL
-             sink pointed at the requesting connection. The write lock
-             is held for the whole run so control responses to other
-             requests on this connection cannot tear a streamed line;
-             they are delayed, not lost. *)
-          if job.stream then begin
-            Mutex.lock job.conn.oc_lock;
-            Telemetry.set_sink (Telemetry.jsonl job.conn.oc)
-          end;
-          let finish () =
-            if job.stream then begin
-              Telemetry.flush ();
-              Telemetry.set_sink Telemetry.noop;
-              Mutex.unlock job.conn.oc_lock
-            end
-          in
-          match run_placement job with
-          | r ->
-              finish ();
-              r
-          | exception e ->
-              finish ();
-              raise e
-        in
-        (* placer-lint: allow C1 the template tier (default_store + its family files) is audited at its own get_or_compute site and keyed by motif hash; configure_default runs once at startup before the first job; the dls read is per-domain telemetry stat accounting *)
-        match Cache.get_or_compute server.results ~key compute with
-        | Some p ->
-            server.completed <- server.completed + 1;
-            let cached = not !computed in
-            let t1 = Templates.Template_store.stats server.tstore in
-            let template_hits = t1.Cache.hits - t0.Cache.hits
-            and template_misses = t1.Cache.misses - t0.Cache.misses in
-            log server "job %s %s in %.2fs (key %s..., tmpl %d/%d)"
-              job.job_id
-              (if cached then "served from cache" else "placed")
-              (Telemetry.now () -. now)
-              (String.sub key 0 8) template_hits template_misses;
-            send job.conn
-              (Jsonio.Obj
-                 (result_fields job ~cached ~wait_s ~template_hits
-                    ~template_misses hashes p))
-        | None ->
-            server.completed <- server.completed + 1;
-            send_error job.conn ~id:job.job_id
-              "placer returned no layout (infeasible constraints or \
-               failed legalisation)"
-        | exception e ->
-            server.completed <- server.completed + 1;
-            send_error job.conn ~id:job.job_id
-              (Printf.sprintf "placement raised: %s" (Printexc.to_string e)))
+    (* the scheduler runs one placement at a time, so the delta
+       between these snapshots is exactly this job's traffic *)
+    let t0 = Templates.Template_store.stats server.tstore in
+    let computed = ref false in
+    let compute () =
+      computed := true;
+      (* live per-phase telemetry: the run executes under the JSONL
+         sink pointed at the requesting connection. The write lock
+         is held for the whole run so control responses to other
+         requests on this connection cannot tear a streamed line;
+         they are delayed, not lost. *)
+      if job.stream then begin
+        Mutex.lock req.conn.oc_lock;
+        Telemetry.set_sink (Telemetry.jsonl req.conn.oc)
+      end;
+      let finish () =
+        if job.stream then begin
+          Telemetry.flush ();
+          Telemetry.set_sink Telemetry.noop;
+          Mutex.unlock req.conn.oc_lock
+        end
+      in
+      match run_placement job with
+      | r ->
+          finish ();
+          r
+      | exception e ->
+          finish ();
+          raise e
+    in
+    (* placer-lint: allow C1 the template tier (default_store + its family files) is audited at its own get_or_compute site and keyed by motif hash; configure_default runs once at startup before the first job; the dls read is per-domain telemetry stat accounting *)
+    match Cache.get_or_compute server.results ~key:req.key compute with
+    | r ->
+        let cached = not !computed in
+        let t1 = Templates.Template_store.stats server.tstore in
+        let template_hits = t1.Cache.hits - t0.Cache.hits
+        and template_misses = t1.Cache.misses - t0.Cache.misses in
+        log server "job %s %s in %.2fs (key %s..., tmpl %d/%d)"
+          req.job_id
+          (if cached then "served from cache" else "placed")
+          (Telemetry.now () -. now)
+          (String.sub req.key 0 8) template_hits template_misses;
+        send_result server req ~cached ~wait_s ~template_hits
+          ~template_misses r
+    | exception e ->
+        count_completed server;
+        send_error req.conn ~id:req.job_id
+          (Printf.sprintf "placement raised: %s" (Printexc.to_string e))
 
 let scheduler server () =
   let rec loop () =
@@ -292,31 +322,66 @@ let scheduler server () =
 
 (* ---------- request handling ---------- *)
 
+(* A requested circuit: its hashes, and the circuit itself, built only
+   when the request misses the result cache. Registry circuits are
+   deterministic, so their hashes are memoised for the life of the
+   process; "Scaled-<n>" and inline netlists are hashed per request,
+   which keeps the memo at the registry's ten names. *)
+type source = {
+  hashes : string * string;
+  circuit : Netlist.Circuit.t Lazy.t;
+}
+
+let of_circuit c = { hashes = circuit_hashes c; circuit = Lazy.from_val c }
+
+let registry_source server name =
+  Mutex.lock server.memo_lock;
+  let memo = Hashtbl.find_opt server.hash_memo name in
+  Mutex.unlock server.memo_lock;
+  match memo with
+  | Some hashes ->
+      { hashes; circuit = lazy (Circuits.Testcases.get_exn name) }
+  | None ->
+      let src = of_circuit (Circuits.Testcases.get_exn name) in
+      Mutex.lock server.memo_lock;
+      Hashtbl.replace server.hash_memo name src.hashes;
+      Mutex.unlock server.memo_lock;
+      src
+
 let parse_circuit server j =
   match (Jsonio.member "circuit" j, Jsonio.member "netlist" j) with
   | Some name, None -> (
       match Jsonio.to_str name with
       | None -> Error "field \"circuit\": expected a string"
+      | Some n when List.mem n Circuits.Testcases.all_names ->
+          Ok (registry_source server n)
       | Some n -> (
-          match Circuits.Testcases.get n with
-          | Some c -> Ok c
-          | None ->
+          (* refused before anything is built: building is linear in
+             the size, and a hostile size would stall the daemon *)
+          match Circuits.Testcases.scaled_size n with
+          | Some d when d > Circuits.Testcases.max_scaled_devices ->
               Error
-                (Printf.sprintf "unknown circuit %S (known: %s)" n
-                   (String.concat ", " Circuits.Testcases.all_names))))
+                (Printf.sprintf "circuit %S: Scaled-<n> takes at most %d devices"
+                   n Circuits.Testcases.max_scaled_devices)
+          | _ -> (
+              match Circuits.Testcases.get n with
+              | Some c -> Ok (of_circuit c)
+              | None ->
+                  Error
+                    (Printf.sprintf "unknown circuit %S (known: %s)" n
+                       (String.concat ", " Circuits.Testcases.all_names)))))
   | None, Some text -> (
       match Jsonio.to_str text with
       | None -> Error "field \"netlist\": expected a string"
       | Some t -> (
           match Netlist.Io.parse_circuit t with
-          | c -> Ok c
+          | c -> Ok (of_circuit c)
           | exception Netlist.Io.Parse_error (line, msg) ->
               Error (Printf.sprintf "netlist line %d: %s" line msg)
           | exception Invalid_argument msg ->
               Error (Printf.sprintf "invalid netlist: %s" msg)))
   | Some _, Some _ -> Error "give either \"circuit\" or \"netlist\", not both"
   | None, None ->
-      ignore server;
       Error "missing \"circuit\" (registry name) or \"netlist\" (inline text)"
 
 let handle_place server conn j =
@@ -337,46 +402,70 @@ let handle_place server conn j =
   in
   match (parse_circuit server j, spec) with
   | Error e, _ | _, Error e -> send_error conn ~id e
-  | Ok circuit, Ok spec ->
+  | Ok src, Ok spec -> (
+      let spec_hash = M.spec_hash spec in
+      let req =
+        {
+          job_id = id;
+          spec;
+          spec_hash;
+          hashes = src.hashes;
+          key = cache_key src.hashes spec_hash;
+          want_layout =
+            Option.value ~default:true
+              (Option.bind (Jsonio.member "layout" j) Jsonio.to_bool);
+          conn;
+        }
+      in
       let deadline_s = Option.bind (Jsonio.member "deadline_s" j) Jsonio.to_float in
       let stream =
         Option.value ~default:false
           (Option.bind (Jsonio.member "stream" j) Jsonio.to_bool)
       in
-      let want_layout =
-        Option.value ~default:true
-          (Option.bind (Jsonio.member "layout" j) Jsonio.to_bool)
-      in
       let now = Telemetry.now () in
-      let job =
-        {
-          job_id = id;
-          circuit;
-          spec;
-          deadline = Option.map (fun d -> now +. d) deadline_s;
-          submitted = now;
-          stream;
-          want_layout;
-          conn;
-          cancelled = false;
-        }
+      let deadline = Option.map (fun d -> now +. d) deadline_s in
+      let queued depth =
+        send conn
+          (Jsonio.Obj
+             [
+               ("type", j_str "queued");
+               ("id", j_str id);
+               ("spec_hash", j_str spec_hash);
+               ("queue_depth", j_int depth);
+             ])
       in
-      Mutex.lock server.q_lock;
-      server.submitted <- server.submitted + 1;
-      Queue.push job server.queue;
-      Condition.signal server.q_cond;
-      let depth = Queue.length server.queue in
-      Mutex.unlock server.q_lock;
-      log server "queued %s (%s on %s, depth %d)" id
-        (M.to_string spec.M.kind) circuit.Netlist.Circuit.name depth;
-      send conn
-        (Jsonio.Obj
-           [
-             ("type", j_str "queued");
-             ("id", j_str id);
-             ("spec_hash", j_str (M.spec_hash spec));
-             ("queue_depth", j_int depth);
-           ])
+      (* a hit is answered here, without building the circuit or
+         waiting on the scheduler; a request whose deadline has passed
+         is queued all the same, for the scheduler to refuse *)
+      let hit =
+        if expired deadline now then None
+        else Cache.find server.results ~key:req.key
+      in
+      match hit with
+      | Some r ->
+          Mutex.lock server.q_lock;
+          server.submitted <- server.submitted + 1;
+          let depth = Queue.length server.queue in
+          Mutex.unlock server.q_lock;
+          log server "job %s served from cache on connection %d (key %s...)"
+            id conn.peer (String.sub req.key 0 8);
+          queued depth;
+          send_result server req ~cached:true ~wait_s:0.0 ~template_hits:0
+            ~template_misses:0 r
+      | None ->
+          let circuit = Lazy.force src.circuit in
+          let job =
+            { req; circuit; deadline; submitted = now; stream; cancelled = false }
+          in
+          Mutex.lock server.q_lock;
+          server.submitted <- server.submitted + 1;
+          Queue.push job server.queue;
+          Condition.signal server.q_cond;
+          let depth = Queue.length server.queue in
+          Mutex.unlock server.q_lock;
+          log server "queued %s (%s on %s, depth %d)" id
+            (M.to_string spec.M.kind) circuit.Netlist.Circuit.name depth;
+          queued depth)
 
 let handle_cancel server conn j =
   match Option.bind (Jsonio.member "id" j) Jsonio.to_str with
@@ -386,7 +475,7 @@ let handle_cancel server conn j =
       let found = ref false in
       Queue.iter
         (fun job ->
-          if String.equal job.job_id id && not job.cancelled then begin
+          if String.equal job.req.job_id id && not job.cancelled then begin
             job.cancelled <- true;
             found := true
           end)
@@ -528,6 +617,8 @@ let serve socket_path jobs cache_capacity template_dir template_capacity
       q_lock = Mutex.create ();
       q_cond = Condition.create ();
       results = Cache.create ~capacity:cache_capacity ();
+      hash_memo = Hashtbl.create 16;
+      memo_lock = Mutex.create ();
       tstore;
       stopping = false;
       submitted = 0;

@@ -110,9 +110,7 @@ let find t ~key =
         t.hits <- t.hits + 1;
         touch t n;
         Some n.n_value
-    | None ->
-        t.misses <- t.misses + 1;
-        None
+    | None -> None
   in
   Mutex.unlock t.lock;
   r

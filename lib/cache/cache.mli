@@ -48,15 +48,17 @@ val get_or_compute : 'v t -> key:string -> (unit -> 'v) -> 'v
 
 val find : 'v t -> key:string -> 'v option
 (** Lookup without computing; a hit refreshes recency. Does not wait
-    for an in-flight computation of [key] ([None] meanwhile). Counts as
-    a hit or miss in {!stats}. *)
+    for an in-flight computation of [key] ([None] meanwhile). A hit
+    counts in {!stats}; a miss does not, because a caller that finds
+    nothing goes on to {!get_or_compute}, which counts the request
+    once — so a find-then-compute lookup is one hit or one miss. *)
 
 val length : 'v t -> int
 (** Completed entries currently cached. *)
 
 type stats = {
   hits : int;
-  misses : int;  (** lookups that ran (or would require) a compute *)
+  misses : int;  (** [get_or_compute] calls that ran a compute *)
   evictions : int;  (** entries dropped by the LRU bound *)
   dedup_waits : int;
       (** lookups that waited on another caller's in-flight compute

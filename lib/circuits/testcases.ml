@@ -503,6 +503,18 @@ let all_names =
   [ "Adder"; "CC-OTA"; "Comp1"; "Comp2"; "CM-OTA1"; "CM-OTA2"; "SCF";
     "VGA"; "VCO1"; "VCO2" ]
 
+(* "Scaled-<n>": the parametric hierarchical testcase *)
+let scaled_size name =
+  let pre = "Scaled-" in
+  let pl = String.length pre in
+  if String.length name > pl && String.equal (String.sub name 0 pl) pre then
+    match int_of_string_opt (String.sub name pl (String.length name - pl)) with
+    | Some n when n > 0 -> Some n
+    | Some _ | None -> None
+  else None
+
+let max_scaled_devices = 1_000
+
 let get = function
   | "Adder" -> Some (adder ())
   | "CC-OTA" -> Some (cc_ota ())
@@ -514,15 +526,7 @@ let get = function
   | "VGA" -> Some (vga ())
   | "VCO1" -> Some (vco1 ())
   | "VCO2" -> Some (vco2 ())
-  | name ->
-      (* "Scaled-<n>": the parametric hierarchical testcase *)
-      let pre = "Scaled-" in
-      let pl = String.length pre in
-      if String.length name > pl && String.equal (String.sub name 0 pl) pre then
-        match int_of_string_opt (String.sub name pl (String.length name - pl)) with
-        | Some n when n > 0 -> Some (scaled ~devices:n)
-        | Some _ | None -> None
-      else None
+  | name -> Option.map (fun n -> scaled ~devices:n) (scaled_size name)
 
 let get_exn name =
   match get name with

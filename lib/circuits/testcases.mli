@@ -24,6 +24,16 @@ val get : string -> Netlist.Circuit.t option
     Additionally recognises ["Scaled-<n>"] for any positive [n] and
     builds {!scaled}[ ~devices:n]. *)
 
+val scaled_size : string -> int option
+(** [Some n] when the name is ["Scaled-<n>"] with [n > 0]: the size
+    {!get} would build, read without building anything. *)
+
+val max_scaled_devices : int
+(** The largest ["Scaled-<n>"] the placement service builds on request
+    (1,000; the repo's own studies stop at 240). Building is linear in
+    [n] and runs before any other check, so a larger name is refused
+    up front. {!get} itself takes any positive [n]. *)
+
 val get_exn : string -> Netlist.Circuit.t
 (** @raise Invalid_argument for unknown names. *)
 

@@ -767,14 +767,16 @@ let rec scan ctx env (e : Typedtree.expression) =
    definitions and Stdlib calls, in source order: a [let] taints its
    names when its value is [Pool.map]/[Pool.map_list] results or uses
    a tainted name, [Hashtbl.add]/[replace] taints the table it stores
-   such a value into (the pool call itself included), and a
+   such a value into (the pool call itself included), a lambda passed
+   to Stdlib [Array]/[List] [iter]/[iteri] over such a value has its
+   element parameter tainted, and a
    [Hashtbl.fold]/[iter] over a tainted value whose arguments
    accumulate with [+.]/[-.] is a finding. Taint flows forward only: a
    fold placed before the tainting [add] stays quiet. Not followed:
    values stored through [|>]/[@@] (the type checker turns
    [v |> Hashtbl.add tbl k] into an application of the partial call,
-   which has no call reference of its own) or through a lambda's
-   parameters. *)
+   which has no call reference of its own), or through the parameters
+   of a lambda that is named first or handed to any other iterator. *)
 
 let rec head_call (e : Typedtree.expression) =
   match e.exp_desc with
@@ -826,17 +828,18 @@ let n4_scan ~file emit b =
         Some pool_fn
     | _ -> None
   in
+  (* the taint [v] carries: it is a pool call or uses a tainted name *)
+  let origin (v : Typedtree.expression) =
+    match pool_results v with
+    | Some pool_fn ->
+        Some
+          (Printf.sprintf "%s results (task order) at %s:%d" pool_fn file
+             (line v.exp_loc))
+    | None -> taint_of v
+  in
   (* table [id] stores [values] by [h]: the first pool call or tainted
      value among them taints the table *)
   let store h id values loc =
-    let origin (v : Typedtree.expression) =
-      match pool_results v with
-      | Some pool_fn ->
-          Some
-            (Printf.sprintf "%s results (task order) at %s:%d" pool_fn file
-               (line v.exp_loc))
-      | None -> taint_of v
-    in
     Option.iter
       (fun origin ->
         taint (Ident.unique_name id)
@@ -864,6 +867,22 @@ let n4_scan ~file emit b =
             { Typedtree.exp_desc = Texp_ident (Path.Pident id, _, _); _ }
             :: rest ) ->
           store h id rest loc
+      | `Call
+          ( (("Array.iter" | "Array.iteri" | "List.iter" | "List.iteri") as h),
+            [ ({ Typedtree.exp_desc = Texp_function _; _ } as lam); coll ] ) ->
+          (* the element is the lambda's first parameter, or its second
+             after an [iteri] index *)
+          let elt = if String.ends_with ~suffix:"iteri" h then 1 else 0 in
+          Option.iter
+            (fun o ->
+              List.iter
+                (fun (id, idx) ->
+                  if idx = elt then
+                    taint (Ident.unique_name id)
+                      (Printf.sprintf "%s; visited by %s at %s:%d" o h file
+                         (line loc)))
+                (spine_in b lam).sp_params)
+            (origin coll)
       | `Call ((("Hashtbl.fold" | "Hashtbl.iter") as h), nl) -> (
           match List.find_map taint_of nl with
           | Some origin when List.exists accumulates nl ->

@@ -93,3 +93,41 @@ let stored_run_all () =
       let tbl = Hashtbl.create 4 in
       Hashtbl.add tbl 0 (Pool.run_all p [ (fun () -> ()) ]);
       Hashtbl.fold (fun _ () acc -> acc +. 1.0) tbl 0.0)
+
+(* The results reach the table through the element parameter of an
+   [Array.iteri] lambda: the element is tainted, so the table is. *)
+let iteri_store () =
+  Pool.with_pool ~jobs:2 (fun p ->
+      let results = Pool.map p (fun i -> float_of_int i) (Array.init 8 Fun.id) in
+      let tbl = Hashtbl.create 16 in
+      Array.iteri (fun i v -> Hashtbl.add tbl i v) results;
+      Hashtbl.fold (fun _ v acc -> acc +. v) tbl 0.0)
+
+(* ... through [List.iter] over a value derived from the results *)
+let list_iter_derived () =
+  Pool.with_pool ~jobs:2 (fun p ->
+      let parts = Pool.map_list p (fun i -> float_of_int i) [ 1; 2; 3 ] in
+      let doubled = List.map (fun x -> x *. 2.0) parts in
+      let tbl = Hashtbl.create 16 in
+      List.iter (fun v -> Hashtbl.replace tbl (Hashtbl.length tbl) v) doubled;
+      let total = ref 0.0 in
+      Hashtbl.iter (fun _ v -> total := !total -. v) tbl;
+      !total)
+
+(* ... through [Array.iter] straight over the pool call *)
+let iter_over_call () =
+  Pool.with_pool ~jobs:2 (fun p ->
+      let tbl = Hashtbl.create 16 in
+      Array.iter
+        (fun v -> Hashtbl.replace tbl 0 v)
+        (Pool.map p (fun i -> float_of_int i) (Array.init 8 Fun.id));
+      Hashtbl.fold (fun _ v acc -> acc +. v) tbl 0.0)
+
+(* [iteri]'s index is not pool data: storing only the index stays
+   quiet (D3 only) *)
+let iteri_index_only () =
+  Pool.with_pool ~jobs:2 (fun p ->
+      let results = Pool.map p (fun i -> float_of_int i) (Array.init 8 Fun.id) in
+      let tbl = Hashtbl.create 16 in
+      Array.iteri (fun i _ -> Hashtbl.add tbl i (float_of_int i)) results;
+      Hashtbl.fold (fun _ v acc -> acc +. v) tbl 0.0)

@@ -19,7 +19,9 @@ let cache_tests =
           (Cache.find c ~key:"b");
         let s = Cache.stats c in
         Alcotest.(check int) "hits" 2 s.Cache.hits;
-        Alcotest.(check int) "misses" 2 s.Cache.misses;
+        (* only the computing lookup counts a miss: a find that comes
+           back empty leaves the count to the get_or_compute after it *)
+        Alcotest.(check int) "misses" 1 s.Cache.misses;
         Alcotest.(check int) "size" 1 s.Cache.size;
         Alcotest.(check int) "evictions" 0 s.Cache.evictions);
     Alcotest.test_case "LRU eviction order" `Quick (fun () ->
