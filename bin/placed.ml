@@ -157,25 +157,8 @@ let log server fmt =
       Format.err_formatter
       ("[placed] " ^^ fmt ^^ "@.")
 
-(* Cache key: the three content hashes the README documents. The
-   interchange text is the canonical form of a circuit; constraint
-   lines (sym/align/order) are split out so motif-equivalent netlists
-   with different constraint sets key separately. *)
-let circuit_hashes c =
-  let text = Netlist.Io.circuit_to_string c in
-  let is_constraint l =
-    String.starts_with ~prefix:"sym " l
-    || String.starts_with ~prefix:"sym/" l
-    || String.equal l "sym"
-    || String.starts_with ~prefix:"align " l
-    || String.starts_with ~prefix:"order " l
-  in
-  let cs, rest =
-    List.partition is_constraint (String.split_on_char '\n' text)
-  in
-  ( Digest.to_hex (Digest.string (String.concat "\n" rest)),
-    Digest.to_hex (Digest.string (String.concat "\n" cs)) )
-
+(* Cache key: the three content hashes the README documents — the
+   circuit's two from [Netlist.Io.circuit_hashes], then the spec's. *)
 let cache_key (nh, ch) spec_hash = String.concat "/" [ nh; ch; spec_hash ]
 
 let count_completed server =
@@ -332,7 +315,8 @@ type source = {
   circuit : Netlist.Circuit.t Lazy.t;
 }
 
-let of_circuit c = { hashes = circuit_hashes c; circuit = Lazy.from_val c }
+let of_circuit c =
+  { hashes = Netlist.Io.circuit_hashes c; circuit = Lazy.from_val c }
 
 let registry_source server name =
   Mutex.lock server.memo_lock;
@@ -576,18 +560,64 @@ let handle_line server conn ~wake_accepter line =
       | Some op -> send_error conn (Printf.sprintf "unknown op %S" op)
       | None -> send_error conn "missing \"op\""))
 
+(* The longest request line read. The largest circuit the daemon
+   builds, Scaled-1000, is 121 KB of interchange text; a client that
+   streams past this without a newline gets an error and is dropped,
+   rather than growing the daemon's buffer without bound. *)
+let max_request_line = 1 lsl 20
+
+(* A connection's request lines, read in chunks under
+   [max_request_line]. Like [input_line], a last line without its
+   newline still counts. *)
+type reader = {
+  ic : in_channel;
+  chunk : Bytes.t;
+  mutable pos : int;
+  mutable len : int;
+  line : Buffer.t;
+}
+
+let rec read_line r =
+  let take () =
+    let l = Buffer.contents r.line in
+    Buffer.clear r.line;
+    `Line l
+  in
+  if r.pos >= r.len then begin
+    r.pos <- 0;
+    r.len <- input r.ic r.chunk 0 (Bytes.length r.chunk)
+  end;
+  if r.len = 0 then if Buffer.length r.line = 0 then `Eof else take ()
+  else begin
+    let nl = ref r.pos in
+    while !nl < r.len && Bytes.get r.chunk !nl <> '\n' do incr nl done;
+    if Buffer.length r.line + (!nl - r.pos) > max_request_line then `Too_long
+    else begin
+      Buffer.add_subbytes r.line r.chunk r.pos (!nl - r.pos);
+      r.pos <- !nl + 1;
+      if !nl < r.len then take () else read_line r
+    end
+  end
+
 let handle_conn server ~wake_accepter fd peer =
-  let ic = Unix.in_channel_of_descr fd in
+  let r =
+    { ic = Unix.in_channel_of_descr fd; chunk = Bytes.create 4096; pos = 0;
+      len = 0; line = Buffer.create 256 }
+  in
   let oc = Unix.out_channel_of_descr fd in
   let conn = { oc; oc_lock = Mutex.create (); peer; alive = true } in
   log server "connection %d opened" peer;
   let rec loop () =
-    match input_line ic with
-    | line ->
+    match read_line r with
+    | `Line line ->
         if String.length (String.trim line) > 0 then
           handle_line server conn ~wake_accepter line;
         if conn.alive && not server.stopping then loop ()
-    | exception End_of_file -> ()
+    | `Too_long ->
+        send_error conn
+          (Printf.sprintf "request line longer than %d bytes"
+             max_request_line)
+    | `Eof -> ()
     | exception Sys_error _ -> ()
   in
   loop ();

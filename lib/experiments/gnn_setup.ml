@@ -2,7 +2,7 @@
    generate a labelled placement dataset (the paper uses >1000 samples
    per design), pick the FOM threshold, train the surrogate, and
    expose the hooks each placer family needs. Models are cached per
-   circuit name within a process. *)
+   circuit content within a process. *)
 
 type trained = {
   enc : Gnn.Graph_enc.t;
@@ -166,7 +166,8 @@ let train_for ?(sizes = default_sizes) ?(epochs = 150) ?(seed = 424242)
   let train_stats = Gnn.Train.train ~epochs ~rng model samples in
   { enc; model; threshold; train_stats; n_samples = List.length samples }
 
-(* Process-wide model cache, keyed by circuit name, a quick/full flag
+(* Process-wide model cache, keyed by the circuit's content hashes (two
+   circuits that share a name do not share a model), a quick/full flag
    and a fingerprint of any non-default training configuration.
 
    The single-flight protocol (first caller to miss trains with the
@@ -188,7 +189,8 @@ let get ?sizes ?epochs ?(quick = false) (c : Netlist.Circuit.t) =
   let sizes = Option.value sizes ~default:default_sz in
   let epochs = Option.value epochs ~default:default_ep in
   let key =
-    c.Netlist.Circuit.name
+    let nh, ch = Netlist.Io.circuit_hashes c in
+    nh ^ "/" ^ ch
     ^ (if quick then "/q" else "/f")
     ^
     if custom then

@@ -32,7 +32,9 @@ val train_for :
 val get :
   ?sizes:dataset_sizes -> ?epochs:int -> ?quick:bool ->
   Netlist.Circuit.t -> trained
-(** Cached per circuit name within the process. *)
+(** Cached within the process per circuit content
+    ({!Netlist.Io.circuit_hashes}) and training configuration, so two
+    circuits that share a name get distinct models. *)
 
 val phi_of_layout : trained -> Netlist.Layout.t -> float
 (** GNN inference on a realised layout (the SA cost term of [19]). *)

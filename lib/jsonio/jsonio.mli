@@ -1,8 +1,7 @@
 (** Minimal JSON values for the service wire protocol and the job-spec
     serialization: a parser, a printer, and object accessors. The repo
     carries no third-party JSON dependency; this module is the one
-    sanctioned implementation (the telemetry sink predates it and keeps
-    its hand-rolled emitter).
+    implementation, the telemetry JSONL sink's included.
 
     Numbers are represented as [float] (like JavaScript); integers
     round-trip exactly up to 2^53. The printer emits object fields in

@@ -113,6 +113,24 @@ let write_circuit ppf (c : Circuit.t) =
 
 let circuit_to_string c = Fmt.str "%a" write_circuit c
 
+(* The interchange text is the canonical form of a circuit; constraint
+   lines (sym/align/order) are split out so motif-equivalent netlists
+   with different constraint sets hash apart only in the second. *)
+let circuit_hashes c =
+  let text = circuit_to_string c in
+  let is_constraint l =
+    String.starts_with ~prefix:"sym " l
+    || String.starts_with ~prefix:"sym/" l
+    || String.equal l "sym"
+    || String.starts_with ~prefix:"align " l
+    || String.starts_with ~prefix:"order " l
+  in
+  let cs, rest =
+    List.partition is_constraint (String.split_on_char '\n' text)
+  in
+  ( Digest.to_hex (Digest.string (String.concat "\n" rest)),
+    Digest.to_hex (Digest.string (String.concat "\n" cs)) )
+
 let write_placement ppf (l : Layout.t) =
   for i = 0 to Layout.n_devices l - 1 do
     let d = Circuit.device l.Layout.circuit i in

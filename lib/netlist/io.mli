@@ -7,6 +7,12 @@ exception Parse_error of int * string
 
 val circuit_to_string : Circuit.t -> string
 
+val circuit_hashes : Circuit.t -> string * string
+(** [(netlist_hash, constraints_hash)]: hex MD5 digests of
+    {!circuit_to_string}'s text without and with only its constraint
+    lines (sym/align/order). The [circuit] line, name included, is part
+    of the netlist text. *)
+
 val parse_circuit : string -> Circuit.t
 (** @raise Parse_error on malformed text.
     @raise Invalid_argument if the assembled circuit fails validation. *)

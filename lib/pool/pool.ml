@@ -1,28 +1,30 @@
-(* A batch-at-a-time domain pool. The submitting domain pushes the
-   whole batch onto a Chase-Lev deque it owns and then works from the
-   bottom; parked worker domains wake on the pool condition and steal
-   from the top until the deque drains, so load balances whatever the
-   per-task cost spread (a 4M-move SA run next to a 50 ms analytical
-   run). Task thunks never let exceptions escape: results, telemetry
-   snapshots and exceptions are all captured into per-task slots and
-   settled by the caller at the join, in task order, which is what
-   makes parallel runs reproduce serial ones exactly. *)
-
-type task = { t_run : unit -> unit }
+(* A batch-at-a-time domain pool. A batch is a fixed task array with
+   two claim cursors, guarded by the pool mutex: the submitting domain
+   claims from the back ([hi - 1]) while parked worker domains, woken on
+   [work_cond], claim from the front ([lo]), so load balances whatever
+   the per-task cost spread (a 4M-move SA run next to a 50 ms analytical
+   run). The lock is held only to claim and to count; it is released
+   while a task runs. A task's writes reach the caller through the same
+   mutex: the worker takes it to decrement [running], and the caller
+   reads [running] under it before it touches the task slots. Task
+   thunks never let exceptions escape: results, telemetry snapshots and
+   exceptions are all captured into per-task slots and settled by the
+   caller at the join, in task order, which is what makes parallel runs
+   reproduce serial ones exactly. *)
 
 type batch = {
-  deque : task Ws_deque.t;
-  remaining : int Atomic.t;
-  b_id : int;
+  tasks : (unit -> unit) array;
+  mutable lo : int;  (* next task from the front, for workers *)
+  mutable hi : int;  (* one past the next task from the back, for the caller *)
+  mutable running : int;
 }
 
 type t = {
   n_jobs : int;
   lock : Mutex.t;
   work_cond : Condition.t;  (* workers: a new batch is available *)
-  done_cond : Condition.t;  (* caller: a batch finished *)
+  done_cond : Condition.t;  (* caller: the last running task finished *)
   mutable current : batch option;
-  mutable next_id : int;
   mutable stopped : bool;
   mutable domains : unit Domain.t array;
 }
@@ -31,40 +33,31 @@ type t = {
    inline rather than repark its own domain waiting for itself. *)
 let in_worker : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 
-let exec pool b task =
-  task.t_run ();
-  if Atomic.fetch_and_add b.remaining (-1) = 1 then begin
+(* Entered and left with [pool.lock] held: claim and run tasks of [b]
+   from the caller's end or the workers' end until none is left. *)
+let rec work pool b ~caller =
+  if b.lo < b.hi then begin
+    let i =
+      if caller then (b.hi <- b.hi - 1; b.hi)
+      else (b.lo <- b.lo + 1; b.lo - 1)
+    in
+    b.running <- b.running + 1;
+    Mutex.unlock pool.lock;
+    b.tasks.(i) ();
     Mutex.lock pool.lock;
-    Condition.broadcast pool.done_cond;
-    Mutex.unlock pool.lock
+    b.running <- b.running - 1;
+    if b.running = 0 && b.lo >= b.hi then Condition.broadcast pool.done_cond;
+    work pool b ~caller
   end
 
-let rec drain pool b =
-  match Ws_deque.steal b.deque with
-  | Some task ->
-      exec pool b task;
-      drain pool b
-  | None -> ()
-
-let rec worker_loop pool last_id =
+let worker_loop pool =
   Mutex.lock pool.lock;
-  let rec await () =
-    if pool.stopped then None
-    else
-      match pool.current with
-      | Some b when b.b_id <> last_id && not (Ws_deque.is_empty b.deque) ->
-          Some b
-      | _ ->
-          Condition.wait pool.work_cond pool.lock;
-          await ()
-  in
-  let next = await () in
-  Mutex.unlock pool.lock;
-  match next with
-  | None -> ()
-  | Some b ->
-      drain pool b;
-      worker_loop pool b.b_id
+  while not pool.stopped do
+    match pool.current with
+    | Some b when b.lo < b.hi -> work pool b ~caller:false
+    | _ -> Condition.wait pool.work_cond pool.lock
+  done;
+  Mutex.unlock pool.lock
 
 let create ?jobs () =
   let n =
@@ -79,7 +72,6 @@ let create ?jobs () =
       work_cond = Condition.create ();
       done_cond = Condition.create ();
       current = None;
-      next_id = 0;
       stopped = false;
       domains = [||];
     }
@@ -89,7 +81,7 @@ let create ?jobs () =
       Array.init (n - 1) (fun _ ->
           Domain.spawn (fun () ->
               Domain.DLS.set in_worker true;
-              worker_loop pool (-1)));
+              worker_loop pool));
   pool
 
 let jobs pool = pool.n_jobs
@@ -113,44 +105,29 @@ let map pool f xs =
     let results = Array.make n None in
     let errors = Array.make n None in
     let deltas = Array.make n None in
-    let mk i x =
-      {
-        t_run =
-          (fun () ->
-            match Telemetry.capture (fun () -> f x) with
-            | r, snap ->
-                results.(i) <- Some r;
-                deltas.(i) <- Some snap
-            | exception e ->
-                errors.(i) <- Some (e, Printexc.get_raw_backtrace ()));
-      }
+    let tasks =
+      Array.mapi
+        (fun i x () ->
+          match Telemetry.capture (fun () -> f x) with
+          | r, snap ->
+              results.(i) <- Some r;
+              deltas.(i) <- Some snap
+          | exception e ->
+              errors.(i) <- Some (e, Printexc.get_raw_backtrace ()))
+        xs
     in
-    let tasks = Array.mapi mk xs in
     let parallel =
       pool.n_jobs > 1 && n > 1 && (not pool.stopped)
       && not (Domain.DLS.get in_worker)
     in
-    if not parallel then Array.iter (fun t -> t.t_run ()) tasks
+    if not parallel then Array.iter (fun t -> t ()) tasks
     else begin
-      let deque = Ws_deque.create ~capacity:n in
-      Array.iter (Ws_deque.push deque) tasks;
       Mutex.lock pool.lock;
-      let b = { deque; remaining = Atomic.make n; b_id = pool.next_id } in
-      pool.next_id <- pool.next_id + 1;
+      let b = { tasks; lo = 0; hi = n; running = 0 } in
       pool.current <- Some b;
       Condition.broadcast pool.work_cond;
-      Mutex.unlock pool.lock;
-      (* the caller works from the bottom of its own deque *)
-      let rec help () =
-        match Ws_deque.pop deque with
-        | Some t ->
-            exec pool b t;
-            help ()
-        | None -> ()
-      in
-      help ();
-      Mutex.lock pool.lock;
-      while Atomic.get b.remaining > 0 do
+      work pool b ~caller:true;
+      while b.running > 0 do
         Condition.wait pool.done_cond pool.lock
       done;
       pool.current <- None;

@@ -22,7 +22,7 @@
       rules {b C1}/{b C2} (a task that memoises through [Cache] must
       key every input it reads) and the hot-path rule {b A1} (a task
       body marked [[@@placer_lint.hot]] must not allocate per move).
-    - Results are returned in input order, whatever the steal order.
+    - Results are returned in input order, whatever the claim order.
     - Each task runs under {!Telemetry.capture}; the snapshots are
       merged into the caller's collector in task order at the join, so
       counters, span totals and traces come out schedule-independent.

@@ -101,43 +101,31 @@ let summary ppf =
   in
   { on_span = ignore; on_flush }
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let jsonl oc =
+  let line typ fields =
+    output_string oc
+      (Jsonio.to_string (Jsonio.Obj (("type", Jsonio.Str typ) :: fields)));
+    output_char oc '\n'
+  in
   let on_span s =
-    let path =
-      String.concat ","
-        (List.map (fun p -> Printf.sprintf "\"%s\"" (json_escape p)) s.path)
-    in
-    Printf.fprintf oc
-      "{\"type\":\"span\",\"name\":\"%s\",\"path\":[%s],\"t_start\":%.6f,\"dur_s\":%.6f}\n"
-      (json_escape s.span_name) path s.t_start s.dur_s
+    line "span"
+      [
+        ("name", Jsonio.Str s.span_name);
+        ("path", Jsonio.Arr (List.map (fun p -> Jsonio.Str p) s.path));
+        ("t_start", Jsonio.Num s.t_start);
+        ("dur_s", Jsonio.Num s.dur_s);
+      ]
   in
   let on_flush r =
     List.iter
       (fun (name, v) ->
-        Printf.fprintf oc "{\"type\":\"counter\",\"name\":\"%s\",\"value\":%d}\n"
-          (json_escape name) v)
+        line "counter"
+          [ ("name", Jsonio.Str name); ("value", Jsonio.Num (float_of_int v)) ])
       r.r_counters;
     List.iter
       (fun (name, v) ->
         if not (Float.is_nan v) then
-          Printf.fprintf oc
-            "{\"type\":\"gauge\",\"name\":\"%s\",\"value\":%.6g}\n"
-            (json_escape name) v)
+          line "gauge" [ ("name", Jsonio.Str name); ("value", Jsonio.Num v) ])
       r.r_gauges;
     flush oc
   in

@@ -76,6 +76,25 @@ let setup_tests =
             if not (t == first) then
               Alcotest.failf "caller %d got a distinct trained value" i)
           results);
+    (* the model cache keys on circuit content: a different circuit
+       under a cached circuit's name gets its own model, sized to its
+       own devices *)
+    Alcotest.test_case "model cache keys on content, not name" `Quick
+      (fun () ->
+        let sizes =
+          { GS.n_random = 6; n_spread = 2; n_sa = 0; n_analytic = 0 }
+        in
+        let ota = Circuits.Testcases.get_exn "CC-OTA" in
+        let vco =
+          { (Circuits.Testcases.get_exn "VCO2") with
+            Netlist.Circuit.name = "CC-OTA" }
+        in
+        let t_ota = GS.get ~sizes ~epochs:1 ota in
+        let t_vco = GS.get ~sizes ~epochs:1 vco in
+        Alcotest.(check bool) "distinct models" false (t_ota == t_vco);
+        let l = List.hd (GS.generate_layouts ~sizes ~seed:5 vco) in
+        let p = GS.phi_of_layout t_vco l in
+        Alcotest.(check bool) "phi in [0,1]" true (p >= 0.0 && p <= 1.0));
   ]
 
 let method_tests =

@@ -27,13 +27,37 @@ let combinator_tests =
                 ys
             done;
             Alcotest.(check (list int)) "map_list" [ 2; 3; 4 ]
-              (Pool.map_list p succ [ 1; 2; 3 ]);
-            let hits = Array.make 5 false in
-            Pool.run_all p
-              (* placer-lint: allow P2 each thunk writes only its own disjoint slot i, and run_all joins before hits is read *)
-              (List.init 5 (fun i () -> hits.(i) <- true));
-            Alcotest.(check bool) "run_all ran every thunk" true
-              (Array.for_all Fun.id hits)));
+              (Pool.map_list p succ [ 1; 2; 3 ])));
+    (* the first and last thunks of one batch each wait for the other
+       to start, so the batch passes only if two domains run it at
+       once; a wait that times out raises and fails the test instead
+       of hanging it *)
+    Alcotest.test_case "one batch runs on two domains at once" `Quick
+      (fun () ->
+        let batch p n =
+          let started = Array.make n false in
+          let await j =
+            let deadline = Telemetry.now () +. 10.0 in
+            while not started.(j) do
+              if Telemetry.now () > deadline then
+                Alcotest.failf "batch of %d: task %d never started" n j;
+              Domain.cpu_relax ()
+            done
+          in
+          Pool.run_all p
+            (List.init n (fun i () ->
+                 (* placer-lint: allow P2 each thunk writes only its own disjoint slot i, and run_all joins before started is read *)
+                 started.(i) <- true;
+                 if i = 0 then await (n - 1)
+                 else if i = n - 1 then await 0));
+          Alcotest.(check bool) "run_all ran every thunk" true
+            (Array.for_all Fun.id started)
+        in
+        List.iter
+          (fun jobs ->
+            Pool.with_pool ~jobs (fun p ->
+                List.iter (batch p) [ 2; 3; 10; 100 ]))
+          [ 2; 4 ]);
     Alcotest.test_case "empty and singleton batches" `Quick (fun () ->
         Pool.with_pool ~jobs:4 (fun p ->
             Alcotest.(check int) "empty" 0

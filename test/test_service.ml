@@ -82,8 +82,39 @@ let contains s sub =
   in
   at 0
 
+(* placed's request-line cap, [max_request_line] in bin/placed.ml *)
+let max_request_line = 1 lsl 20
+
+(* Every read and write on the client fails after 10 s rather than
+   hang on a daemon that keeps buffering. *)
+let bounded c =
+  let fd = Unix.descr_of_in_channel c.ic in
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+  Unix.setsockopt_float fd Unix.SO_SNDTIMEO 10.0;
+  c
+
 let tests =
   [
+    Alcotest.test_case "an over-long request line is refused" `Quick
+      (fun () ->
+        with_daemon (fun sock ->
+            let c = bounded (connect sock) in
+            output_string c.oc (String.make (max_request_line + 1) 'x');
+            flush c.oc;
+            let r = recv c in
+            Alcotest.(check string) "an error result" "result" (typ r);
+            check_bool "the error names the cap" true
+              (match field r "error" with
+              | Some e -> contains e (string_of_int max_request_line)
+              | None -> false);
+            check_bool "then the connection is closed" true
+              (match input_line c.ic with
+              | _ -> false
+              | exception End_of_file -> true);
+            let d = bounded (connect sock) in
+            send d {|{"op":"ping"}|};
+            Alcotest.(check string) "a fresh connection is served" "pong"
+              (typ (recv d))));
     Alcotest.test_case "over-cap Scaled name refused at once" `Quick
       (fun () ->
         with_daemon (fun sock ->
