@@ -112,9 +112,12 @@ let run_ablations cfg =
   Experiments.Table_fmt.render Fmt.stdout (Experiments.Run.ablations cfg)
 
 let run_scaling cfg =
-  banner "Scaling: SA vs ePlace-A on growing ring VCOs (beyond the paper)"
+  banner
+    "Scaling: Table III's five families on Scaled-12/40/120 (--quick: \
+     12/40), one analytical restart (beyond the paper; Scaled-240 waits \
+     for ePlace-A's DP there, 19 min per restart)"
     "the analytical paradigm's advantage should widen with device count";
-  Experiments.Table_fmt.render Fmt.stdout (Experiments.Run.scaling cfg)
+  run_comparison Experiments.Run.scaling "" cfg
 
 let all_experiments =
   [ ("table1", run_table1); ("fig2", run_fig2); ("table3", run_table3);

@@ -404,22 +404,6 @@ let vco2 () =
       ("spec_freq_ghz", 3.9); ("spec_tune_pct", 17.1); ("spec_pn_dbc", 127.0) ];
   Builder.build b
 
-(* Parametric ring VCO for scaling studies: [stages] differential
-   cells, so the device count grows linearly (about 5 devices and two
-   symmetry groups per cell). Used by the beyond-the-paper scaling
-   bench, not part of the paper's testcase set. *)
-let scaling_vco ~stages =
-  let b =
-    vco
-      ~name:(Fmt.str "VCO-N%d" stages)
-      ~stages ~differential:true ~cell_w:2.0 ~var_w:5.0 ()
-  in
-  Builder.set_meta b
-    [ ("cl_ff", 45.0);
-      ("freq_ghz_nom", 4.2); ("tune_pct_nom", 22.0); ("pn_dbc_nom", 108.0);
-      ("spec_freq_ghz", 3.9); ("spec_tune_pct", 17.1); ("spec_pn_dbc", 127.0) ];
-  Builder.build b
-
 (* ----- Parametric hierarchical testcase for the template study -----
 
    A chain of identical ~12-device OTA cells. Every cell instantiates

@@ -39,10 +39,6 @@ val get_exn : string -> Netlist.Circuit.t
 
 val all : unit -> Netlist.Circuit.t list
 
-val scaling_vco : stages:int -> Netlist.Circuit.t
-(** Parametric differential ring VCO (about 5 devices per stage) for
-    the scaling study; not part of the paper's testcase set. *)
-
 val scaled : devices:int -> Netlist.Circuit.t
 (** Parametric hierarchical testcase for the template study: a chain
     of identical ~12-device OTA cells whose five motifs (grouped input

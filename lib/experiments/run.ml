@@ -13,27 +13,16 @@ type cfg = {
   alpha : float;  (* Eq. 5 weight for the analytical perf term *)
   sa_alpha : float;
   check_eval : int;  (* SA: cross-check incremental cost every N evals *)
-  scaled_sizes : int list;
-      (* extra "Scaled-<n>" generator circuits appended to the paper's
-         ten seed designs in table3/table7 — the size axis *)
 }
 
 let default_cfg =
   { quick = false; sa_moves = Methods.sa_default_moves;
     sa_perf_moves = 120_000; restarts = 5; alpha = 60.0; sa_alpha = 2.0;
-    check_eval = 0; scaled_sizes = [ 120; 240 ] }
+    check_eval = 0 }
 
 let quick_cfg =
   { quick = true; sa_moves = 40_000; sa_perf_moves = 15_000; restarts = 2;
-    alpha = 60.0; sa_alpha = 2.0; check_eval = 0; scaled_sizes = [ 40 ] }
-
-let all_circuits = Circuits.Testcases.all_names
-
-(* table3/table7 run the seed designs plus the configured scaled
-   circuits, so the size axis appears alongside the paper's rows. *)
-let table_circuits cfg =
-  all_circuits
-  @ List.map (fun n -> Printf.sprintf "Scaled-%d" n) cfg.scaled_sizes
+    alpha = 60.0; sa_alpha = 2.0; check_eval = 0 }
 
 let area_hpwl l = (Netlist.Layout.area l, Netlist.Layout.hpwl l)
 
@@ -178,6 +167,7 @@ type method_row = {
   gp_s : float;  (* phase breakdown from the run's telemetry *)
   dp_s : float;
   gnn_s : float;
+  violations : int;  (* Netlist.Checks.all on the layout; 0 when none *)
   error : string option;  (* why this design produced no layout *)
 }
 
@@ -186,12 +176,12 @@ type method_row = {
    for a fixed seed whatever the worker count (see Pool's determinism
    contract); only the runtime columns vary with scheduling.
 
-   A failed design no longer vanishes into a silent nan row: the row
-   carries the reason, and every failure is reported on stderr at the
-   join (after the fan-out, in task order, so the log output is
-   deterministic whatever the worker count). *)
+   A failed design's row carries the reason and nan columns, an
+   illegal layout's row its violation count. Both are reported on
+   stderr at the join (after the fan-out, in task order, so the log
+   output is deterministic whatever the worker count). *)
 let run_method (m : Methods.t) names =
-  let rows =
+  let results =
     Pool.map_list (Pool.default ())
       (fun design ->
         let c = Circuits.Testcases.get_exn design in
@@ -199,27 +189,36 @@ let run_method (m : Methods.t) names =
         | Some o ->
             let area, hpwl = area_hpwl o.Methods.layout in
             let s = o.Methods.stats in
-            { design; area; hpwl; runtime = o.Methods.runtime_s;
-              gp_s = s.Methods.gp_s; dp_s = s.Methods.dp_s;
-              gnn_s = s.Methods.gnn_s; error = None }
+            let vs = Netlist.Checks.all o.Methods.layout in
+            ( { design; area; hpwl; runtime = o.Methods.runtime_s;
+                gp_s = s.Methods.gp_s; dp_s = s.Methods.dp_s;
+                gnn_s = s.Methods.gnn_s; violations = List.length vs;
+                error = None },
+              vs )
         | None ->
-            { design; area = nan; hpwl = nan; runtime = nan; gp_s = nan;
-              dp_s = nan; gnn_s = nan;
-              error =
-                Some
-                  "placer returned no layout (infeasible constraints or \
-                   failed legalisation)" })
+            ( { design; area = nan; hpwl = nan; runtime = nan; gp_s = nan;
+                dp_s = nan; gnn_s = nan; violations = 0;
+                error =
+                  Some
+                    "placer returned no layout (infeasible constraints or \
+                     failed legalisation)" },
+              [] ))
       names
   in
   List.iter
-    (fun r ->
-      Option.iter
-        (fun why ->
+    (fun (r, vs) ->
+      match r.error with
+      | Some why ->
           Fmt.epr "[run] %s failed on %s: %s@." m.Methods.method_name
-            r.design why)
-        r.error)
-    rows;
-  rows
+            r.design why
+      | None ->
+          if r.violations > 0 then
+            Fmt.epr "[run] %s left %d violation(s) on %s: %a@."
+              m.Methods.method_name r.violations r.design
+              Fmt.(list ~sep:(any ", ") Netlist.Checks.pp_violation)
+              vs)
+    results;
+  List.map fst results
 
 (* Stage-level runtime columns (GP / DP / GNN per method), derived from
    the same results as the area/HPWL/runtime tables; EXPERIMENTS.md
@@ -247,13 +246,15 @@ let phase_table method_names (results : method_row list list) =
   in
   { TF.header; rows }
 
-(* Tables III and VII: every family on the table circuits, conventional
-   or performance-driven, with geometric-mean ratios against ePlace-A(P)
-   and the per-phase runtime breakdown of the same runs. *)
-let comparison cfg ~perf labels =
-  let circuits = table_circuits cfg in
+(* Tables III and VII and the size axis: every family on [circuits],
+   conventional or performance-driven, with geometric-mean ratios
+   against ePlace-A(P) and the per-phase runtime breakdown of the same
+   runs. An illegal layout's area cell carries a trailing "!" (no
+   extra column, so the table keeps its layout). *)
+let comparison cfg ~perf labels circuits =
   let methods = List.map (method_of_kind cfg ~perf) Methods.all in
   let results = List.map (fun m -> run_method m circuits) methods in
+  let area_cell r = TF.f1 r.area ^ if r.violations > 0 then "!" else "" in
   let rows =
     List.mapi
       (fun i design ->
@@ -261,7 +262,7 @@ let comparison cfg ~perf labels =
         :: List.concat_map
              (fun rows ->
                let r = List.nth rows i in
-               [ TF.f1 r.area; TF.f1 r.hpwl; TF.f2 r.runtime ])
+               [ area_cell r; TF.f1 r.hpwl; TF.f2 r.runtime ])
              results)
       circuits
   in
@@ -286,8 +287,10 @@ let comparison cfg ~perf labels =
     },
     phase_table labels results )
 
+let conventional_labels = [ "SA"; "P11"; "eP"; "Tmpl"; "Math" ]
+
 let table3 cfg =
-  comparison cfg ~perf:false [ "SA"; "P11"; "eP"; "Tmpl"; "Math" ]
+  comparison cfg ~perf:false conventional_labels Circuits.Testcases.all_names
 
 (* ---------- Table IV: detailed placement only, same GP ---------- *)
 
@@ -335,7 +338,7 @@ let table5 cfg =
       (fun design ->
         let c = Circuits.Testcases.get_exn design in
         (design, List.map (fun (m : Methods.t) -> fom_of (m.Methods.run c)) methods))
-      all_circuits
+      Circuits.Testcases.all_names
   in
   let rows =
     List.map
@@ -391,7 +394,9 @@ let table6 cfg =
 (* ---------- Table VII: perf-driven area/HPWL/runtime ---------- *)
 
 let table7 cfg =
-  comparison cfg ~perf:true [ "SAp"; "P11p"; "ePAP"; "Tmplp"; "Mathp" ]
+  comparison cfg ~perf:true
+    [ "SAp"; "P11p"; "ePAP"; "Tmplp"; "Mathp" ]
+    Circuits.Testcases.all_names
 
 (* ---------- Fig. 5: HPWL-area tradeoff on CM-OTA1 ---------- *)
 
@@ -562,48 +567,15 @@ let ablations cfg =
     rows;
   }
 
-(* ---------- Scaling study: runtime and quality vs problem size ----------
+(* ---------- Scaling study: the five families on Scaled-<n> ----------
    The paper's core question is whether the analytical paradigm's
-   digital-scale advantage matters at analog sizes; this sweep extends
-   the evidence beyond "dozens of devices" with a parametric ring VCO. *)
+   digital-scale advantage matters at analog sizes; this runs Table
+   III's comparison on the parametric Scaled-<n> chain past the
+   paper's "dozens of devices". One analytical restart keeps
+   Scaled-120 to minutes; Scaled-240 waits until ePlace-A's detailed
+   placement stops taking about 19 min per restart there. *)
 
 let scaling cfg =
-  let sizes = if cfg.quick then [ 4; 8 ] else [ 4; 6; 8; 12 ] in
-  let rows =
-    List.map
-      (fun stages ->
-        let c = Circuits.Testcases.scaling_vco ~stages in
-        let n = Netlist.Circuit.n_devices c in
-        (* both methods at reduced budgets: one restart / one DP pass
-           for the analytical flow, size-scaled moves for SA — the
-           study compares *scaling*, not tuned quality *)
-        let sa =
-          Methods.of_spec
-            { (Methods.default_spec Methods.Sa) with
-              Methods.moves = min cfg.sa_moves (40_000 * n) }
-        in
-        let sa_a, sa_w, sa_t =
-          match sa.Methods.run c with
-          | Some o ->
-              let a, w = area_hpwl o.Methods.layout in
-              (a, w, o.Methods.runtime_s)
-          | None -> (nan, nan, nan)
-        in
-        let ep_a, ep_w, ep_t =
-          eplace_run
-            { (eplace_params cfg) with
-              Eplace.Eplace_a.restarts = 1; dp_passes = 1 }
-            c
-        in
-        [ string_of_int stages; string_of_int n;
-          TF.f1 sa_a; TF.f1 sa_w; TF.f2 sa_t;
-          TF.f1 ep_a; TF.f1 ep_w; TF.f2 ep_t;
-          TF.f1 (sa_t /. Float.max 1e-9 ep_t) ])
-      sizes
-  in
-  {
-    TF.header =
-      [ "Stages"; "Devices"; "SA a"; "SA w"; "SA t"; "eP a"; "eP w"; "eP t";
-        "speedup" ];
-    rows;
-  }
+  let sizes = if cfg.quick then [ 12; 40 ] else [ 12; 40; 120 ] in
+  comparison { cfg with restarts = 1 } ~perf:false conventional_labels
+    (List.map (Fmt.str "Scaled-%d") sizes)

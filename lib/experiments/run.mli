@@ -12,18 +12,10 @@ type cfg = {
   check_eval : int;
       (** SA debug: cross-check the incremental cost engine against a
           full recomputation every N evaluations (0 disables) *)
-  scaled_sizes : int list;
-      (** device counts of extra ["Scaled-<n>"] generator circuits
-          ({!Circuits.Testcases.scaled}) appended to the seed designs
-          in {!table3} and {!table7}, adding the size axis to the
-          paper tables; [[120; 240]] in {!default_cfg}, a single small
-          [[40]] in {!quick_cfg} so smoke runs stay cheap *)
 }
 
 val default_cfg : cfg
 val quick_cfg : cfg
-
-val all_circuits : string list
 
 type method_row = {
   design : string;
@@ -33,6 +25,9 @@ type method_row = {
   gp_s : float;  (** phase breakdown from the run's telemetry *)
   dp_s : float;
   gnn_s : float;
+  violations : int;
+      (** {!Netlist.Checks.all} on the layout: 0 for a legal one (and
+          for a failed design) *)
   error : string option;
       (** [Some why] when the placer produced no layout for this design
           (the numeric columns are then [nan]); also logged on stderr
@@ -41,13 +36,9 @@ type method_row = {
 
 val run_method : Methods.t -> string list -> method_row list
 (** One placement per design on the default pool. Failed designs yield
-    a row with [error = Some _] and a deterministic stderr report
-    instead of vanishing into an unexplained nan row. *)
-
-val spec_of_kind : cfg -> ?perf:bool -> Methods.kind -> Methods.spec
-(** The job spec a table's [cfg] denotes for one method family — the
-    same serializable value the CLI and the placement service build
-    runs from. *)
+    a row with [error = Some _], illegal layouts a row with
+    [violations > 0]; both get a stderr report at the join, in task
+    order, so the log is the same whatever the worker count. *)
 
 val table1 : cfg -> Table_fmt.t
 (** Soft vs hard symmetry constraints in global placement. *)
@@ -56,9 +47,12 @@ val fig2 : cfg -> Table_fmt.t
 (** Area-term ablation (with vs without eta Area(v)). *)
 
 val table3 : cfg -> Table_fmt.t * Table_fmt.t
-(** Main conventional comparison: SA vs prior work [11] vs ePlace-A
-    (and the template and matheuristic families), then the per-method
-    GP/DP/GNN runtime breakdown of the same runs. *)
+(** Main conventional comparison on the paper's ten circuits
+    ({!Circuits.Testcases.all_names}): SA vs prior work [11] vs
+    ePlace-A (and the template and matheuristic families), with
+    geometric-mean [Avg.(X)] ratios against ePlace-A, then the
+    per-method GP/DP/GNN runtime breakdown of the same runs. An
+    illegal layout's area cell ends in ["!"]. *)
 
 val table4 : cfg -> Table_fmt.t
 (** Detailed placement only, from the same GP solutions. *)
@@ -70,8 +64,8 @@ val table6 : cfg -> Table_fmt.t
 (** CC-OTA detailed metrics, ePlace-A vs ePlace-AP. *)
 
 val table7 : cfg -> Table_fmt.t * Table_fmt.t
-(** Area/HPWL/runtime for the performance-driven methods, then their
-    runtime breakdown as in {!table3}. *)
+(** Area/HPWL/runtime for the performance-driven methods on the ten
+    circuits, then their runtime breakdown as in {!table3}. *)
 
 type point = { p_method : string; p_x : float; p_y : float }
 
@@ -86,6 +80,9 @@ val ablations : cfg -> Table_fmt.t
     smoothing, flipping strategy, restarts, density-grid resolution and
     DP refinement passes. *)
 
-val scaling : cfg -> Table_fmt.t
-(** Beyond-the-paper scaling study: SA vs ePlace-A on parametric ring
-    VCOs of growing device count. *)
+val scaling : cfg -> Table_fmt.t * Table_fmt.t
+(** Beyond-the-paper size axis: {!table3}'s five-family comparison on
+    ["Scaled-<n>"] ({!Circuits.Testcases.scaled}) for n = 12, 40 and
+    120 (12 and 40 when [quick]), with one analytical restart.
+    Scaled-240 is left out until ePlace-A's detailed placement there
+    gets faster: one restart takes about 19 min. *)

@@ -120,6 +120,23 @@ let method_tests =
            the machinery runs end to end *)
         let t = Experiments.Run.fig2 Experiments.Run.quick_cfg in
         Alcotest.(check bool) "has rows" true (List.length t.TF.rows >= 4));
+    Alcotest.test_case "run_method counts each row's violations" `Quick
+      (fun () ->
+        let violations spec design =
+          match
+            Experiments.Run.run_method (Me.of_spec spec) [ design ]
+          with
+          | [ r ] -> r.Experiments.Run.violations
+          | _ -> Alcotest.fail "one row per design"
+        in
+        (* 100 moves cannot untangle Scaled-60's cross-cell order chain *)
+        Alcotest.(check bool) "starved SA is illegal" true
+          (violations
+             { (Me.default_spec Me.Sa) with Me.moves = 100; restarts = 1 }
+             "Scaled-60"
+          > 0);
+        Alcotest.(check int) "legal row" 0
+          (violations { (Me.default_spec Me.Sa) with Me.moves = 5000 } "CC-OTA"));
   ]
 
 let suites =

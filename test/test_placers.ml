@@ -210,25 +210,23 @@ let suites =
     ("circuits", circuits_tests);
   ]
 
-(* appended: parametric scaling circuit sanity *)
+(* appended: the Scaled-<n> size axis *)
 let scaling_tests =
   [
-    Alcotest.test_case "scaling vco grows linearly and validates" `Quick
+    Alcotest.test_case "scaled rounds up to whole 12-device cells" `Quick
       (fun () ->
-        let n8 =
-          Netlist.Circuit.n_devices (Circuits.Testcases.scaling_vco ~stages:8)
-        in
-        let n16 =
-          Netlist.Circuit.n_devices (Circuits.Testcases.scaling_vco ~stages:16)
-        in
-        Alcotest.(check bool) "monotone" true (n16 > n8);
-        Alcotest.(check bool) "roughly linear" true
-          (abs (n16 - (2 * n8)) <= 6));
-    Alcotest.test_case "scaling vco places legally" `Slow (fun () ->
-        let c = Circuits.Testcases.scaling_vco ~stages:10 in
+        List.iter
+          (fun n ->
+            Alcotest.(check int)
+              (Fmt.str "Scaled-%d" n)
+              (12 * ((n + 11) / 12))
+              (Netlist.Circuit.n_devices (Circuits.Testcases.scaled ~devices:n)))
+          [ 1; 12; 13; 40; 48; 120 ]);
+    Alcotest.test_case "scaled-48 is placed legally by eplace-a" `Slow
+      (fun () ->
+        let c = Circuits.Testcases.get_exn "Scaled-48" in
         let params =
-          { Eplace.Eplace_a.default_params with
-            Eplace.Eplace_a.restarts = 1; dp_passes = 1 }
+          { Eplace.Eplace_a.default_params with Eplace.Eplace_a.restarts = 1 }
         in
         match Eplace.Eplace_a.place ~params c with
         | None -> Alcotest.fail "infeasible"
