@@ -34,7 +34,7 @@ type params = {
 let default_params =
   { mu = 0.35; zeta = 0.55; flip = Flip_round; max_nodes = 60 }
 
-let solve_axis p c ~tilde ~seps (axis : Place_common.Sep_plan.axis) =
+let solve_axis p c ~ws ~tilde ~seps (axis : Place_common.Sep_plan.axis) =
   let name = match axis with X_axis -> "dp.axis_x" | Y_axis -> "dp.axis_y" in
   Telemetry.Span.with_ ~name @@ fun () ->
   let lp =
@@ -44,7 +44,7 @@ let solve_axis p c ~tilde ~seps (axis : Place_common.Sep_plan.axis) =
   let base = lp.DF.problem in
   let kinds = Array.make base.Sx.n_vars I.Continuous in
   let solve ?(rows = []) max_nodes =
-    I.solve ~max_nodes
+    I.solve ~max_nodes ~ws
       { I.base = { base with Sx.constraints = rows @ base.Sx.constraints };
         kinds }
   in
@@ -87,4 +87,6 @@ type result = DF.legalized = {
 
 let run ?(params = default_params) (c : Netlist.Circuit.t) ~gp =
   let tilde = sqrt (Netlist.Circuit.total_device_area c /. params.zeta) in
-  DF.legalize c ~gp ~solve_axis:(solve_axis params c ~tilde)
+  (* one tableau for both axes and every LP of the pass *)
+  let ws = Sx.workspace () in
+  DF.legalize c ~gp ~solve_axis:(solve_axis params c ~ws ~tilde)

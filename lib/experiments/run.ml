@@ -166,7 +166,6 @@ type method_row = {
   runtime : float;
   gp_s : float;  (* phase breakdown from the run's telemetry *)
   dp_s : float;
-  gnn_s : float;
   violations : int;  (* Netlist.Checks.all on the layout; 0 when none *)
   error : string option;  (* why this design produced no layout *)
 }
@@ -192,12 +191,12 @@ let run_method (m : Methods.t) names =
             let vs = Netlist.Checks.all o.Methods.layout in
             ( { design; area; hpwl; runtime = o.Methods.runtime_s;
                 gp_s = s.Methods.gp_s; dp_s = s.Methods.dp_s;
-                gnn_s = s.Methods.gnn_s; violations = List.length vs;
+                violations = List.length vs;
                 error = None },
               vs )
         | None ->
             ( { design; area = nan; hpwl = nan; runtime = nan; gp_s = nan;
-                dp_s = nan; gnn_s = nan; violations = 0;
+                dp_s = nan; violations = 0;
                 error =
                   Some
                     "placer returned no layout (infeasible constraints or \
@@ -220,15 +219,15 @@ let run_method (m : Methods.t) names =
     results;
   List.map fst results
 
-(* Stage-level runtime columns (GP / DP / GNN per method), derived from
-   the same results as the area/HPWL/runtime tables; EXPERIMENTS.md
+(* Stage-level runtime columns (GP / DP per method), derived from the
+   same results as the area/HPWL/runtime tables, after one GNN column
+   per circuit when [gnn] gives its training times; EXPERIMENTS.md
    reports these next to the paper's aggregate runtime ratios. *)
-let phase_table method_names (results : method_row list list) =
+let phase_table ?gnn method_names (results : method_row list list) =
   let header =
     "Design"
-    :: List.concat_map
-         (fun m -> [ m ^ " GP"; m ^ " DP"; m ^ " GNN" ])
-         method_names
+    :: (if Option.is_some gnn then [ "GNN" ] else [])
+    @ List.concat_map (fun m -> [ m ^ " GP"; m ^ " DP" ]) method_names
   in
   let rows =
     match results with
@@ -237,21 +236,39 @@ let phase_table method_names (results : method_row list list) =
         List.mapi
           (fun i (r0 : method_row) ->
             r0.design
-            :: List.concat_map
-                 (fun rows ->
-                   let r = List.nth rows i in
-                   [ TF.f2 r.gp_s; TF.f2 r.dp_s; TF.f2 r.gnn_s ])
-                 results)
+            :: (match gnn with Some ts -> [ TF.f2 (List.nth ts i) ] | None -> [])
+            @ List.concat_map
+                (fun rows ->
+                  let r = List.nth rows i in
+                  [ TF.f2 r.gp_s; TF.f2 r.dp_s ])
+                results)
           first
   in
   { TF.header; rows }
 
+(* Trains each circuit's GNN into [Gnn_setup]'s cache, with the key
+   the perf-driven families fetch it by; returns each circuit's
+   training wall time. One circuit at a time: training fans its own
+   dataset out over the default pool. *)
+let train_gnns cfg circuits =
+  List.map
+    (fun design ->
+      let c = Circuits.Testcases.get_exn design in
+      snd
+        (Telemetry.Span.timed ~name:"gnn" (fun () ->
+             ignore (Gnn_setup.get ~quick:cfg.quick c))))
+    circuits
+
 (* Tables III and VII and the size axis: every family on [circuits],
    conventional or performance-driven, with geometric-mean ratios
    against ePlace-A(P) and the per-phase runtime breakdown of the same
-   runs. An illegal layout's area cell carries a trailing "!" (no
-   extra column, so the table keeps its layout). *)
+   runs. Performance-driven, every circuit's GNN is trained first and
+   each family fetches that model, so the breakdown shows the training
+   time once per circuit instead of under whichever family ran first.
+   An illegal layout's area cell carries a trailing "!" (no extra
+   column, so the table keeps its layout). *)
 let comparison cfg ~perf labels circuits =
+  let gnn = if perf then Some (train_gnns cfg circuits) else None in
   let methods = List.map (method_of_kind cfg ~perf) Methods.all in
   let results = List.map (fun m -> run_method m circuits) methods in
   let area_cell r = TF.f1 r.area ^ if r.violations > 0 then "!" else "" in
@@ -285,7 +302,7 @@ let comparison cfg ~perf labels circuits =
         :: List.concat_map (fun l -> [ l ^ " a"; l ^ " w"; l ^ " t" ]) labels;
       rows = rows @ [ avg ];
     },
-    phase_table labels results )
+    phase_table ?gnn labels results )
 
 let conventional_labels = [ "SA"; "P11"; "eP"; "Tmpl"; "Math" ]
 

@@ -24,7 +24,6 @@ type method_row = {
   runtime : float;
   gp_s : float;  (** phase breakdown from the run's telemetry *)
   dp_s : float;
-  gnn_s : float;
   violations : int;
       (** {!Netlist.Checks.all} on the layout: 0 for a legal one (and
           for a failed design) *)
@@ -51,8 +50,8 @@ val table3 : cfg -> Table_fmt.t * Table_fmt.t
     ({!Circuits.Testcases.all_names}): SA vs prior work [11] vs
     ePlace-A (and the template and matheuristic families), with
     geometric-mean [Avg.(X)] ratios against ePlace-A, then the
-    per-method GP/DP/GNN runtime breakdown of the same runs. An
-    illegal layout's area cell ends in ["!"]. *)
+    per-method GP/DP runtime breakdown of the same runs. An illegal
+    layout's area cell ends in ["!"]. *)
 
 val table4 : cfg -> Table_fmt.t
 (** Detailed placement only, from the same GP solutions. *)
@@ -65,7 +64,10 @@ val table6 : cfg -> Table_fmt.t
 
 val table7 : cfg -> Table_fmt.t * Table_fmt.t
 (** Area/HPWL/runtime for the performance-driven methods on the ten
-    circuits, then their runtime breakdown as in {!table3}. *)
+    circuits, then their runtime breakdown as in {!table3}. Each
+    circuit's GNN is trained once before the families run (offline, as
+    in the paper: no family's runtime includes it), and the breakdown
+    shows that training time in one [GNN] column per circuit. *)
 
 type point = { p_method : string; p_x : float; p_y : float }
 

@@ -26,9 +26,11 @@ let is_integral v = abs_float (v -. Float.round v) <= int_tol
 let nodes_counter = Telemetry.Counter.make "ilp.nodes"
 let solves_counter = Telemetry.Counter.make "ilp.solves"
 
-let solve ?(max_nodes = 500) (p : problem) =
+let solve ?(max_nodes = 500) ?ws (p : problem) =
   if Array.length p.kinds <> p.base.Simplex.n_vars then
     invalid_arg "Ilp.solve: kinds size";
+  (* one tableau for every node of the tree *)
+  let ws = match ws with Some ws -> ws | None -> Simplex.workspace () in
   let binary_bounds =
     List.concat
       (List.init (Array.length p.kinds) (fun j ->
@@ -38,7 +40,7 @@ let solve ?(max_nodes = 500) (p : problem) =
            | Integer | Continuous -> []))
   in
   let relax extra =
-    Simplex.solve
+    Simplex.solve ~ws
       {
         p.base with
         Simplex.constraints =

@@ -23,8 +23,10 @@ type result = {
   nodes : int;  (** LP relaxations solved *)
 }
 
-val solve : ?max_nodes:int -> problem -> result
+val solve : ?max_nodes:int -> ?ws:Simplex.workspace -> problem -> result
 (** Solves at most [max_nodes] (default 500) LP relaxations; the node
     budget is the only limit, so results never depend on host load.
-    Binary variables get an implicit [x <= 1] bound.
+    Binary variables get an implicit [x <= 1] bound. Every relaxation
+    is solved in [ws]; without it, the call creates one workspace and
+    shares it across its nodes.
     @raise Invalid_argument if [kinds] size mismatches the problem. *)

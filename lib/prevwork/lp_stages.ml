@@ -10,13 +10,13 @@
 module DF = Place_common.Dp_flow
 module Sx = Numerics.Simplex
 
-let solve_axis c ~seps axis =
+let solve_axis c ~ws ~seps axis =
   let stage name ?cap ~nets ~extent_cost () =
     Telemetry.Span.with_ ~name (fun () ->
         let lp =
           DF.axis_lp ?cap ~flips:false ~nets ~extent_cost ~axis ~seps c
         in
-        match Sx.solve lp.DF.problem with
+        match Sx.solve ~ws lp.DF.problem with
         | Sx.Optimal s -> Some (DF.solution lp s.Sx.x ~nodes:0)
         | Sx.Infeasible | Sx.Unbounded | Sx.Iter_limit -> None)
   in
@@ -29,6 +29,8 @@ let solve_axis c ~seps axis =
 type result = { layout : Netlist.Layout.t; runtime_s : float }
 
 let run c ~gp =
+  (* one tableau for both axes and both stages of the pass *)
+  let ws = Sx.workspace () in
   Option.map
     (fun (r : DF.legalized) -> { layout = r.layout; runtime_s = r.runtime_s })
-    (DF.legalize c ~gp ~solve_axis:(solve_axis c))
+    (DF.legalize c ~gp ~solve_axis:(solve_axis c ~ws))

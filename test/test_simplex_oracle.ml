@@ -97,7 +97,7 @@ module Dense = struct
     eliminate tab.z;
     tab.basis.(row) <- col
 
-  let iterate ~max_iter tab ~allowed =
+  let iterate ?(on_enter = ignore) ~max_iter tab ~allowed =
     let bland_after = 5 * (tab.m + tab.ncols) in
     let rec go k =
       if k >= max_iter then `Iter_limit
@@ -138,6 +138,7 @@ module Dense = struct
           done;
           if !row < 0 then `Unbounded
           else begin
+            on_enter !enter;
             pivot tab ~row:!row ~col:!enter;
             go (k + 1)
           end
@@ -146,7 +147,8 @@ module Dense = struct
     in
     go 0
 
-  let solve ?(max_iter = 20000) (p : Sx.problem) =
+  (* [on_enter] sees each phase-1 entering column *)
+  let solve ?on_enter ?(max_iter = 20000) (p : Sx.problem) =
     let tab = build p in
     let has_art = tab.ncols > tab.art_start in
     let status_phase1 =
@@ -154,7 +156,7 @@ module Dense = struct
       else begin
         price tab
           (Array.init tab.ncols (fun j -> if j >= tab.art_start then 1.0 else 0.0));
-        iterate ~max_iter tab ~allowed:(fun _ -> true)
+        iterate ?on_enter ~max_iter tab ~allowed:(fun _ -> true)
       end
     in
     match status_phase1 with
@@ -220,8 +222,9 @@ let pp_exact ppf (r : Sx.result) =
         Fmt.(array ~sep:(any " ") (fmt "%h")) s.x
   | Infeasible | Unbounded | Iter_limit -> Sx.pp_result ppf r
 
-let check_same label ?max_iter p =
-  let expected = Dense.solve ?max_iter p and actual = Sx.solve ?max_iter p in
+let check_same ?on_enter ?ws label ?max_iter p =
+  let expected = Dense.solve ?on_enter ?max_iter p
+  and actual = Sx.solve ?max_iter ?ws p in
   if not (same expected actual) then
     Alcotest.failf "%s: dense oracle %a, solver %a" label pp_exact expected
       pp_exact actual;
@@ -236,7 +239,7 @@ let check_same label ?max_iter p =
    satisfies every row, and half carry a bounding row, so all four
    outcomes are frequent. One LP in ten is larger; one in ten gets a
    small iteration budget. *)
-let random_lp r =
+let random_lp ?(heavy = false) r =
   let big = R.int r 10 = 0 in
   let n = 1 + R.int r (if big then 24 else 8)
   and m = 1 + R.int r (if big then 20 else 8) in
@@ -257,7 +260,10 @@ let random_lp r =
         (fun j -> if R.int r 5 < 3 then Some (j, value ()) else None)
         (List.init n Fun.id)
     in
-    let op = match R.int r 3 with 0 -> Sx.Le | 1 -> Sx.Ge | _ -> Sx.Eq in
+    let op =
+      if heavy then match R.int r 5 with 0 -> Sx.Le | 1 | 2 -> Sx.Ge | _ -> Sx.Eq
+      else match R.int r 3 with 0 -> Sx.Le | 1 -> Sx.Ge | _ -> Sx.Eq
+    in
     let rhs =
       match planted with
       | Some x0 ->
@@ -270,7 +276,12 @@ let random_lp r =
           | 1 -> Float.of_int (R.int r 11 - 5)
           | _ -> R.uniform r ~lo:(-10.0) ~hi:10.0)
     in
-    { Sx.coeffs; op; rhs }
+    if heavy && R.bool r then
+      (* the same row negated: a negative rhs, normalised back *)
+      { Sx.coeffs = List.map (fun (j, a) -> (j, -.a)) coeffs;
+        op = (match op with Sx.Le -> Sx.Ge | Sx.Ge -> Sx.Le | Sx.Eq -> Sx.Eq);
+        rhs = -.rhs }
+    else { Sx.coeffs; op; rhs }
   in
   let rows = List.init m (fun _ -> row ()) in
   let rows =
@@ -331,7 +342,162 @@ let random_corpus () =
       if n < 100 then Alcotest.failf "outcome %d reached only %d times" k n)
     tally
 
-(* ----- corpus 2: the detailed-placement axis LPs ----- *)
+(* ----- corpus 2: one workspace across B&B nodes and heavy LPs ----- *)
+
+(* [Ilp.solve]'s relaxation at the nodes of one dive: an [x <= 1] row
+   per binary, then the node's branching bounds (newest first), then
+   the base rows. Each node has one row more than its parent, and the
+   next seed's root may be smaller, so a shared workspace grows and
+   shrinks. *)
+let bb_dive r =
+  let base, _ = random_lp r in
+  let n = base.Sx.n_vars in
+  let bounds =
+    List.filter_map
+      (fun j ->
+        if R.bool r then Some { Sx.coeffs = [ (j, 1.0) ]; op = Sx.Le; rhs = 1.0 }
+        else None)
+      (List.init n Fun.id)
+  in
+  let node extra =
+    { base with Sx.constraints = bounds @ extra @ base.Sx.constraints }
+  in
+  let rec dive extra depth =
+    if depth = 0 then [ node extra ]
+    else
+      let j = R.int r n and v = Float.of_int (R.int r 3) in
+      let bound =
+        if R.bool r then { Sx.coeffs = [ (j, 1.0) ]; op = Sx.Le; rhs = v }
+        else { Sx.coeffs = [ (j, 1.0) ]; op = Sx.Ge; rhs = v +. 1.0 }
+      in
+      node extra :: dive (bound :: extra) (depth - 1)
+  in
+  dive [] (R.int r 6)
+
+(* The logical artificial columns of [p] in the dense tableau's order:
+   [true] for a row that normalises to [Ge], whose artificial the
+   solver reads as its negated slack; [false] for [Eq]. *)
+let art_kinds (p : Sx.problem) =
+  List.filter_map
+    (fun (r : Sx.constr) ->
+      let op =
+        if r.rhs < 0.0 then
+          match r.op with Sx.Le -> Sx.Ge | Sx.Ge -> Sx.Le | Sx.Eq -> Sx.Eq
+        else r.op
+      in
+      match op with Sx.Le -> None | Sx.Ge -> Some true | Sx.Eq -> Some false)
+    p.constraints
+  |> Array.of_list
+
+let shared_workspace_corpus () =
+  let ws = Sx.workspace () in
+  let ge_entered = ref 0 and eq_entered = ref 0 and tally = Array.make 4 0 in
+  let check label ?max_iter (p : Sx.problem) =
+    let kinds = art_kinds p in
+    (* one slack per row that is not [Eq] *)
+    let n_eq = Array.fold_left (fun k ge -> if ge then k else k + 1) 0 kinds in
+    let art_start = p.n_vars + List.length p.constraints - n_eq in
+    let on_enter j =
+      if j >= art_start then
+        if kinds.(j - art_start) then incr ge_entered else incr eq_entered
+    in
+    let k =
+      match check_same ~on_enter ~ws label ?max_iter p with
+      | Sx.Optimal _ -> 0
+      | Sx.Infeasible -> 1
+      | Sx.Unbounded -> 2
+      | Sx.Iter_limit -> 3
+    in
+    tally.(k) <- tally.(k) + 1
+  in
+  for seed = 1 to 3000 do
+    if seed <= 1500 then
+      List.iteri
+        (fun d p -> check (Printf.sprintf "B&B dive %d node %d" seed d) p)
+        (bb_dive (R.create (10_000 + seed)));
+    let p, max_iter = random_lp ~heavy:true (R.create (20_000 + seed)) in
+    check (Printf.sprintf "Ge/Eq-heavy LP %d" seed) ?max_iter p
+  done;
+  Array.iteri
+    (fun k n ->
+      if n < 100 then Alcotest.failf "outcome %d reached only %d times" k n)
+    tally;
+  (* phase 1 reads a virtual Ge artificial as an entering column *)
+  if !ge_entered < 10 || !eq_entered < 10 then
+    Alcotest.failf "artificials entered in phase 1: %d Ge, %d Eq" !ge_entered
+      !eq_entered
+
+(* ----- corpus 3: the detailed-placement axis LPs ----- *)
+
+(* ePlace-A's [Flip_round] relaxation of one axis, as [Dp_ilp] builds
+   it, on [Eplace.Global_place]'s layout *)
+let relaxation_lp name axis =
+  let c = Circuits.Testcases.get_exn name in
+  let gp = (Eplace.Global_place.run c).Eplace.Global_place.layout in
+  let seps = Place_common.Sep_plan.plan c ~gp ~all_pairs:true in
+  let params = Eplace.Dp_ilp.default_params in
+  let tilde =
+    sqrt (Netlist.Circuit.total_device_area c /. params.Eplace.Dp_ilp.zeta)
+  in
+  let lp =
+    DF.axis_lp ~flips:true ~nets:true
+      ~extent_cost:(params.Eplace.Dp_ilp.mu *. tilde /. 2.0) ~axis ~seps c
+  in
+  let flip_rows =
+    Array.to_list lp.DF.flip_var
+    |> List.filter_map (fun v ->
+           if v < 0 then None
+           else Some { Sx.coeffs = [ (v, 1.0) ]; op = Sx.Le; rhs = 1.0 })
+  in
+  { lp.DF.problem with
+    Sx.constraints = flip_rows @ lp.DF.problem.Sx.constraints }
+
+(* A solve that raises or stops at its iteration budget leaves the
+   workspace dirty; the next solve must not see it. *)
+let workspace_recovers () =
+  let ws = Sx.workspace () in
+  let big = relaxation_lp "VCO2" Place_common.Sep_plan.X_axis in
+  (match check_same ~ws "VCO2 x, 3 iterations" ~max_iter:3 big with
+  | Sx.Iter_limit -> ()
+  | r -> Alcotest.failf "VCO2 x, 3 iterations: %a" Sx.pp_result r);
+  (* every row but the last is written before its bad index raises *)
+  let bad =
+    { big with
+      Sx.constraints =
+        big.Sx.constraints
+        @ [ { Sx.coeffs = [ (big.Sx.n_vars, 1.0) ]; op = Sx.Ge; rhs = 1.0 } ] }
+  in
+  (match Sx.solve ~ws bad with
+  | exception Invalid_argument _ -> ()
+  | r -> Alcotest.failf "bad index: %a" Sx.pp_result r);
+  for seed = 1 to 200 do
+    let p, max_iter = random_lp (R.create (30_000 + seed)) in
+    ignore (check_same ~ws (Printf.sprintf "after, LP %d" seed) ?max_iter p)
+  done;
+  ignore (check_same ~ws "VCO2 x, again" big)
+
+(* The workspace is the tableau: a warm solve allocates the solution
+   and a few small records, not a dense [m x ncols] array. *)
+let reuse_allocates_no_tableau () =
+  let p = relaxation_lp "VCO2" Place_common.Sep_plan.X_axis in
+  let ws = Sx.workspace () in
+  ignore (Sx.solve ~ws p);
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let w0 = words () in
+  let r = Sx.solve ~ws p in
+  let allocated = words () -. w0 in
+  (match r with
+  | Sx.Optimal _ -> ()
+  | r -> Alcotest.failf "VCO2 x: %a" Sx.pp_result r);
+  let m = List.length p.Sx.constraints in
+  (* the structural and slack block alone of a dense tableau *)
+  let tableau = Float.of_int (m * (p.Sx.n_vars + m)) in
+  if allocated > tableau /. 20.0 then
+    Alcotest.failf "a warm solve allocated %.0f words (tableau: %.0f cells)"
+      allocated tableau
 
 (* From one global placement per circuit, both axes: ePlace-A's
    [Flip_round] relaxation and its pinned re-solve (the LPs [Dp_ilp]
@@ -387,6 +553,12 @@ let tests =
       random_corpus;
     Alcotest.test_case "DP axis LPs of the ten circuits match" `Quick
       (fun () -> List.iter dp_corpus Circuits.Testcases.all_names);
+    Alcotest.test_case "B&B and Ge/Eq LPs share a workspace" `Quick
+      shared_workspace_corpus;
+    Alcotest.test_case "a workspace survives raise and Iter_limit" `Quick
+      workspace_recovers;
+    Alcotest.test_case "warm workspace allocates no tableau" `Quick
+      reuse_allocates_no_tableau;
   ]
 
 let suites = [ ("numerics.lp_oracle", tests) ]
