@@ -35,6 +35,7 @@ let default_params =
 let windows_counter = Telemetry.Counter.make "mh.windows"
 let win_accept_counter = Telemetry.Counter.make "mh.window_accepts"
 let win_reject_counter = Telemetry.Counter.make "mh.window_rejects"
+let win_proved_counter = Telemetry.Counter.make "mh.windows_proved"
 
 (* Per-anneal window scratch, sized once: device->item and
    device->member maps (a member's offsets are read from its island),
@@ -252,14 +253,15 @@ let apply_orders eng sc (ws : int array) (sol : Window_ilp.solved) =
 [@@placer_lint.hot]
 
 (* One full matheuristic run on its own pre-split random streams. *)
-let anneal ~(params : params) ~rng ~on_window (c : Netlist.Circuit.t) =
+let anneal ~(params : params) ~rng ~on_window ~on_lp (c : Netlist.Circuit.t) =
   let streams = Numerics.Rng.split_n rng 2 in
   let rng_sa = streams.(0) and rng_win = streams.(1) in
   let sa = params.sa in
   let st = Eval.make_state rng_sa c in
   let n = Array.length st.Eval.islands in
   let sc = make_scratch c n in
-  let n_windows = ref 0 and n_wacc = ref 0 and n_wrej = ref 0 in
+  let n_windows = ref 0 and n_proved = ref 0 and n_wacc = ref 0
+  and n_wrej = ref 0 in
   let sched =
     Telemetry.Span.with_ ~name:"gp" (fun () ->
         let per_temp = Sa_placer.capped_plateau ~moves:sa.Sa_placer.moves n in
@@ -293,12 +295,14 @@ let anneal ~(params : params) ~rng ~on_window (c : Netlist.Circuit.t) =
               let inst = build_inst eng sc ws in
               let sol =
                 Telemetry.Span.with_ ~name:"ilp" (fun () ->
-                    Window_ilp.solve ~node_budget:params.node_budget inst)
+                    Window_ilp.solve ~node_budget:params.node_budget ~on_lp
+                      inst)
               in
               incr n_windows;
               (match sol with
               | None -> ()
               | Some sol ->
+                  if sol.Window_ilp.sol_proved then incr n_proved;
                   apply_orders eng sc ws sol;
                   let c' = Sa_placer.cost sched in
                   if c' <= before then begin
@@ -328,25 +332,27 @@ let anneal ~(params : params) ~rng ~on_window (c : Netlist.Circuit.t) =
     window_phase ()
   done;
   Telemetry.Counter.add windows_counter !n_windows;
+  Telemetry.Counter.add win_proved_counter !n_proved;
   Telemetry.Counter.add win_accept_counter !n_wacc;
   Telemetry.Counter.add win_reject_counter !n_wrej;
   Sa_placer.finish sched
 
 let place ?(params = default_params)
     ?(on_window = fun ~accepted:_ ~before:_ ~after:_ -> ())
+    ?(on_lp = ignore)
     (c : Netlist.Circuit.t) =
   let runs =
     if params.sa.Sa_placer.restarts <= 1 then
       [|
         anneal ~params
           ~rng:(Numerics.Rng.create params.sa.Sa_placer.seed)
-          ~on_window c;
+          ~on_window ~on_lp c;
       |]
     else begin
       let master = Numerics.Rng.create params.sa.Sa_placer.seed in
       let rngs = Numerics.Rng.split_n master params.sa.Sa_placer.restarts in
       Pool.map (Pool.default ())
-        (fun rng -> anneal ~params ~rng ~on_window c)
+        (fun rng -> anneal ~params ~rng ~on_window ~on_lp c)
         rngs
     end
   in

@@ -22,7 +22,9 @@
     annealing and window-selection streams are split once up front; and
     the ILP is time-boxed by a node budget, never wall clock.
 
-    Telemetry counters: [mh.windows] windows solved, [mh.window_accepts]
+    Telemetry counters: [mh.windows] windows solved, [mh.windows_proved]
+    those whose ILP proved its optimum within the node budget
+    ([Window_ilp.solved.sol_proved]), [mh.window_accepts]
     /[mh.window_rejects] the gate's decisions, plus the usual [sa.*]
     series from the global phase. *)
 
@@ -52,9 +54,12 @@ val default_params : params
 val place :
   ?params:params ->
   ?on_window:(accepted:bool -> before:float -> after:float -> unit) ->
+  ?on_lp:(Numerics.Simplex.problem -> unit) ->
   Netlist.Circuit.t ->
   Netlist.Layout.t * float
 (** Best layout and its annealing cost. [on_window] observes every
     window decision (the test probe for the accept-only-if-improved
-    invariant); with [restarts > 1] it runs on the pool's worker
-    domains, so callers passing one should keep [restarts = 1]. *)
+    invariant) and [on_lp] every LP relaxation of every window's branch
+    and bound (the test probe for the simplex oracle); with
+    [restarts > 1] both run on the pool's worker domains, so callers
+    passing one should keep [restarts = 1]. *)

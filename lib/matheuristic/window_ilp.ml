@@ -193,12 +193,12 @@ let order_of_wins k before =
     order;
   order
 
-let solve ?(node_budget = 400) inst =
+let solve ?(node_budget = 400) ?on_lp inst =
   let k = Array.length inst.items in
   if k = 0 then None
   else
     let prob, s_v, t_v = ilp_problem inst in
-    let r = Numerics.Ilp.solve ~max_nodes:node_budget prob in
+    let r = Numerics.Ilp.solve ~max_nodes:node_budget ?on_lp prob in
     match r.Numerics.Ilp.status with
     | Numerics.Ilp.Ilp_optimal | Numerics.Ilp.Ilp_feasible ->
         let x = r.Numerics.Ilp.x in

@@ -54,11 +54,16 @@ type solved = {
   sol_proved : bool;  (** optimality proved within the node budget *)
 }
 
-val solve : ?node_budget:int -> inst -> solved option
+val solve :
+  ?node_budget:int ->
+  ?on_lp:(Numerics.Simplex.problem -> unit) ->
+  inst ->
+  solved option
 (** Best window sequence pair under the linearized objective, or
     [None] when no incumbent was found within the node budget (or the
     instance is infeasible — an oversized frame rules that out in
-    practice). The default budget is 400 nodes. *)
+    practice). The default budget is 400 nodes. [on_lp] sees every
+    node's LP relaxation ({!Numerics.Ilp.solve}'s probe). *)
 
 val lp_for_orders : inst -> pos:int array -> neg:int array -> float option
 (** Optimum of the window LP with every pairwise relation pinned by

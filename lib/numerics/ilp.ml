@@ -26,7 +26,7 @@ let is_integral v = abs_float (v -. Float.round v) <= int_tol
 let nodes_counter = Telemetry.Counter.make "ilp.nodes"
 let solves_counter = Telemetry.Counter.make "ilp.solves"
 
-let solve ?(max_nodes = 500) ?ws (p : problem) =
+let solve ?(max_nodes = 500) ?ws ?(on_lp = ignore) (p : problem) =
   if Array.length p.kinds <> p.base.Simplex.n_vars then
     invalid_arg "Ilp.solve: kinds size";
   (* one tableau for every node of the tree *)
@@ -40,12 +40,15 @@ let solve ?(max_nodes = 500) ?ws (p : problem) =
            | Integer | Continuous -> []))
   in
   let relax extra =
-    Simplex.solve ~ws
+    let lp =
       {
         p.base with
         Simplex.constraints =
           binary_bounds @ extra @ p.base.Simplex.constraints;
       }
+    in
+    on_lp lp;
+    Simplex.solve ~ws lp
   in
   Telemetry.Counter.incr solves_counter;
   let incumbent = ref None in

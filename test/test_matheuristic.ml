@@ -264,6 +264,25 @@ let placer_tests =
                   (List.length viol));
             Alcotest.(check bool) "window solves were counted" true
               (o.M.stats.M.ilp_nodes > 0));
+    Alcotest.test_case "proved windows are counted" `Quick (fun () ->
+        let c = Circuits.Testcases.get_exn "CC-OTA" in
+        let count n = Telemetry.Counter.value (Telemetry.Counter.make n) in
+        let counted params =
+          let (windows, proved), _ =
+            Telemetry.capture (fun () ->
+                ignore (Mh.place ~params c);
+                (count "mh.windows", count "mh.windows_proved"))
+          in
+          Alcotest.(check bool) "some windows were solved" true (windows > 0);
+          if proved > windows then
+            Alcotest.failf "mh.windows_proved %d > mh.windows %d" proved
+              windows;
+          proved
+        in
+        ignore (counted Mh.default_params);
+        (* windows of 3 islands fit the default 50-node budget *)
+        Alcotest.(check bool) "3-island windows are proved" true
+          (counted { Mh.default_params with Mh.window = 3 } > 0));
   ]
 
 (* ---------- spec / params wiring ---------- *)

@@ -1,12 +1,22 @@
 (* Oracle for [Numerics.Simplex]: a test-local copy of the dense
    two-phase tableau the solver used before its pivot eliminated over
-   the pivot row's nonzero columns only. Both must take the same
-   pivots, so every result must agree bit for bit: the same
-   constructor, and [x] and the objective equal after [+. 0.0] (a
-   skipped update [r -. f *. 0.0] may turn a [-0.0] cell into [+0.0],
-   and nothing else). Two corpora: seeded random LPs with all three
-   row operators and signed right-hand sides, and the real
-   detailed-placement axis LPs of the ten paper circuits. *)
+   the pivot row's nonzero columns only, and before it presolved. Two
+   oracles run on every LP [p]:
+   - exact: the dense tableau on [Simplex.presolve p]'s problem [p']
+     takes the solver's pivots, so [lo + x'] and the objective
+     recomputed from it agree bit for bit with [Simplex.solve p] (the
+     same constructor, values equal after [+. 0.0]: a skipped update
+     [r -. f *. 0.0] may turn a [-0.0] cell into [+0.0], and nothing
+     else);
+   - tolerance: the dense tableau on [p] as given must reach the same
+     status (unless either side stops at its iteration budget), an
+     objective within 1e-9 relative, and the solver's [x] must satisfy
+     every row of [p] within 1e-7. Where optima tie, the presolved
+     start may pick another vertex, so [x] itself is not compared.
+   Corpora: seeded random LPs with all three row operators and signed
+   right-hand sides, the real detailed-placement axis LPs of the ten
+   paper circuits and of Scaled-40, and every node LP of a
+   matheuristic run. *)
 
 module Sx = Numerics.Simplex
 module R = Numerics.Rng
@@ -222,12 +232,57 @@ let pp_exact ppf (r : Sx.result) =
         Fmt.(array ~sep:(any " ") (fmt "%h")) s.x
   | Infeasible | Unbounded | Iter_limit -> Sx.pp_result ppf r
 
+(* [Dense.solve] on the presolved problem, mapped back to [x = lo + x']
+   with the objective recomputed from [x], as [Simplex.solve] does *)
+let dense_presolved ?on_enter ?max_iter p =
+  let lo, p' = Sx.presolve p in
+  match Dense.solve ?on_enter ?max_iter p' with
+  | Sx.Optimal s ->
+      let x = Array.mapi (fun j v -> lo.(j) +. v) s.Sx.x in
+      let obj = ref 0.0 in
+      Array.iteri (fun j v -> obj := !obj +. (p.Sx.objective.(j) *. v)) x;
+      Sx.Optimal { Sx.x; objective_value = !obj }
+  | (Sx.Infeasible | Sx.Unbounded | Sx.Iter_limit) as r -> r
+
+(* [x] meets every row of [p], and [x >= 0], within 1e-7 *)
+let feasible (p : Sx.problem) x =
+  Array.for_all (fun v -> v >= -1e-7) x
+  && List.for_all
+       (fun (r : Sx.constr) ->
+         let lhs =
+           List.fold_left (fun acc (j, a) -> acc +. (a *. x.(j))) 0.0 r.coeffs
+         in
+         match r.op with
+         | Sx.Le -> lhs <= r.rhs +. 1e-7
+         | Sx.Ge -> lhs >= r.rhs -. 1e-7
+         | Sx.Eq -> abs_float (lhs -. r.rhs) <= 1e-7)
+       p.constraints
+
+(* The tolerance oracle: the dense tableau on [p] as given *)
+let check_agrees label ?max_iter p (actual : Sx.result) =
+  let raw = Dense.solve ?max_iter p in
+  let ok =
+    match (raw, actual) with
+    | Sx.Iter_limit, _ | _, Sx.Iter_limit -> true
+    | Sx.Optimal s, Sx.Optimal t ->
+        let a = s.Sx.objective_value and b = t.Sx.objective_value in
+        abs_float (a -. b)
+        <= 1e-9 *. Float.max 1.0 (Float.max (abs_float a) (abs_float b))
+        && feasible p t.Sx.x
+    | Sx.Infeasible, Sx.Infeasible | Sx.Unbounded, Sx.Unbounded -> true
+    | (Sx.Optimal _ | Sx.Infeasible | Sx.Unbounded), _ -> false
+  in
+  if not ok then
+    Alcotest.failf "%s: dense tableau on the LP as given %a, solver %a" label
+      pp_exact raw pp_exact actual
+
 let check_same ?on_enter ?ws label ?max_iter p =
-  let expected = Dense.solve ?on_enter ?max_iter p
+  let expected = dense_presolved ?on_enter ?max_iter p
   and actual = Sx.solve ?max_iter ?ws p in
   if not (same expected actual) then
     Alcotest.failf "%s: dense oracle %a, solver %a" label pp_exact expected
       pp_exact actual;
+  check_agrees label ?max_iter p actual;
   actual
 
 (* ----- corpus 1: seeded random LPs ----- *)
@@ -238,8 +293,8 @@ let check_same ?on_enter ?ws label ?max_iter p =
    phase 1) common. Two LPs in three plant a nonnegative point that
    satisfies every row, and half carry a bounding row, so all four
    outcomes are frequent. One LP in ten is larger; one in ten gets a
-   small iteration budget. *)
-let random_lp ?(heavy = false) r =
+   small iteration budget. Returns the planted point too. *)
+let planted_lp ?(heavy = false) r =
   let big = R.int r 10 = 0 in
   let n = 1 + R.int r (if big then 24 else 8)
   and m = 1 + R.int r (if big then 20 else 8) in
@@ -304,7 +359,11 @@ let random_lp ?(heavy = false) r =
   in
   let objective = Array.init n (fun _ -> value ()) in
   let max_iter = if R.int r 10 = 0 then Some (1 + R.int r 6) else None in
-  ({ Sx.n_vars = n; objective; constraints = rows }, max_iter)
+  ({ Sx.n_vars = n; objective; constraints = rows }, max_iter, planted)
+
+let random_lp ?heavy r =
+  let p, max_iter, _ = planted_lp ?heavy r in
+  (p, max_iter)
 
 (* Beale's cycling LP: Dantzig pricing stalls at the origin until the
    switch to Bland's rule, the one path random LPs rarely reach *)
@@ -393,10 +452,12 @@ let shared_workspace_corpus () =
   let ws = Sx.workspace () in
   let ge_entered = ref 0 and eq_entered = ref 0 and tally = Array.make 4 0 in
   let check label ?max_iter (p : Sx.problem) =
-    let kinds = art_kinds p in
+    (* the tableau's columns are those of the presolved problem *)
+    let _, p' = Sx.presolve p in
+    let kinds = art_kinds p' in
     (* one slack per row that is not [Eq] *)
     let n_eq = Array.fold_left (fun k ge -> if ge then k else k + 1) 0 kinds in
-    let art_start = p.n_vars + List.length p.constraints - n_eq in
+    let art_start = p'.n_vars + List.length p'.constraints - n_eq in
     let on_enter j =
       if j >= art_start then
         if kinds.(j - art_start) then incr ge_entered else incr eq_entered
@@ -418,9 +479,13 @@ let shared_workspace_corpus () =
     let p, max_iter = random_lp ~heavy:true (R.create (20_000 + seed)) in
     check (Printf.sprintf "Ge/Eq-heavy LP %d" seed) ?max_iter p
   done;
+  (* Iter_limit needs an LP that takes more pivots than its small budget;
+     the presolve starts most rows feasible, so fewer do (77 here, 102
+     before the presolve) *)
   Array.iteri
     (fun k n ->
-      if n < 100 then Alcotest.failf "outcome %d reached only %d times" k n)
+      let floor = if k = 3 then 50 else 100 in
+      if n < floor then Alcotest.failf "outcome %d reached only %d times" k n)
     tally;
   (* phase 1 reads a virtual Ge artificial as an entering column *)
   if !ge_entered < 10 || !eq_entered < 10 then
@@ -547,6 +612,53 @@ let dp_corpus name =
       ignore (solved (tag ^ " wl stage") wl_lp.DF.problem))
     [ (Place_common.Sep_plan.X_axis, "x"); (Place_common.Sep_plan.Y_axis, "y") ]
 
+(* Every bound the presolve computes is implied by the rows: on the
+   seeded LPs that plant a feasible point [x0], no [lo_j] exceeds
+   [x0_j] (up to the rounding of the planted right-hand sides). A
+   redundant copy of a row turned into an equality can cut the planted
+   point off; those LPs are skipped. *)
+let bounds_are_implied () =
+  let planted = ref 0 and raised = ref 0 in
+  let check label (p, _, x0) =
+    match x0 with
+    | Some x0 when feasible p x0 ->
+        incr planted;
+        let lo, _ = Sx.presolve p in
+        Array.iteri
+          (fun j l ->
+            if l > 0.0 then incr raised;
+            if l > x0.(j) +. (1e-9 *. Float.max 1.0 (abs_float x0.(j))) then
+              Alcotest.failf "%s: lo_%d = %h cuts off x0_%d = %h" label j l j
+                x0.(j))
+          lo
+    | Some _ | None -> ()
+  in
+  for seed = 1 to 5000 do
+    check (Printf.sprintf "random LP %d" seed) (planted_lp (R.create seed))
+  done;
+  for seed = 1 to 3000 do
+    check
+      (Printf.sprintf "Ge/Eq-heavy LP %d" seed)
+      (planted_lp ~heavy:true (R.create (20_000 + seed)))
+  done;
+  (* the corpus exercises the propagation, not just the zero bound *)
+  if !planted < 4000 || !raised < 1000 then
+    Alcotest.failf "%d planted LPs, %d raised bounds" !planted !raised
+
+(* [Ilp.solve]'s node LPs, as [Window_ilp] builds them, over one
+   default matheuristic run *)
+let matheuristic_nodes name =
+  let c = Circuits.Testcases.get_exn name in
+  let lps = ref [] in
+  ignore (Matheuristic.Mh_placer.place ~on_lp:(fun p -> lps := p :: !lps) c);
+  let lps = List.rev !lps in
+  if List.length lps < 100 then
+    Alcotest.failf "%s: only %d node LPs" name (List.length lps);
+  let ws = Sx.workspace () in
+  List.iteri
+    (fun i p -> ignore (check_same ~ws (Printf.sprintf "%s node LP %d" name i) p))
+    lps
+
 let tests =
   [
     Alcotest.test_case "5000 random LPs match the dense tableau" `Quick
@@ -559,6 +671,12 @@ let tests =
       workspace_recovers;
     Alcotest.test_case "warm workspace allocates no tableau" `Quick
       reuse_allocates_no_tableau;
+    Alcotest.test_case "presolve bounds keep planted points" `Quick
+      bounds_are_implied;
+    Alcotest.test_case "Scaled-40 DP axis LPs match" `Quick (fun () ->
+        dp_corpus "Scaled-40");
+    Alcotest.test_case "matheuristic node LPs match" `Quick (fun () ->
+        List.iter matheuristic_nodes [ "CC-OTA"; "VCO2" ]);
   ]
 
 let suites = [ ("numerics.lp_oracle", tests) ]
