@@ -113,9 +113,8 @@ let run_ablations cfg =
 
 let run_scaling cfg =
   banner
-    "Scaling: Table III's five families on Scaled-12/40/120 (--quick: \
-     12/40), one analytical restart (beyond the paper; Scaled-240 waits \
-     for ePlace-A's DP there, 19 min per restart)"
+    "Scaling: Table III's five families on Scaled-12/40/120/240 (--quick: \
+     12/40), one analytical restart (beyond the paper)"
     "the analytical paradigm's advantage should widen with device count";
   run_comparison Experiments.Run.scaling "" cfg
 

@@ -84,7 +84,5 @@ val ablations : cfg -> Table_fmt.t
 
 val scaling : cfg -> Table_fmt.t * Table_fmt.t
 (** Beyond-the-paper size axis: {!table3}'s five-family comparison on
-    ["Scaled-<n>"] ({!Circuits.Testcases.scaled}) for n = 12, 40 and
-    120 (12 and 40 when [quick]), with one analytical restart.
-    Scaled-240 is left out until ePlace-A's detailed placement there
-    gets faster: one restart takes about 19 min. *)
+    ["Scaled-<n>"] ({!Circuits.Testcases.scaled}) for n = 12, 40, 120
+    and 240 (12 and 40 when [quick]), with one analytical restart. *)
